@@ -161,7 +161,10 @@ pub struct AluResult {
     pub v: bool,
 }
 
-fn add_with_carry(a: Word, b: Word, carry: bool) -> (Word, bool, bool) {
+/// `a + b + carry` with its carry-out and signed overflow — the adder
+/// every arithmetic opcode runs through (subtraction is `a + !b + 1`).
+#[inline]
+pub(crate) fn add_with_carry(a: Word, b: Word, carry: bool) -> (Word, bool, bool) {
     let (s1, c1) = a.overflowing_add(b);
     let (sum, c2) = s1.overflowing_add(carry as u32);
     let carry_out = c1 || c2;

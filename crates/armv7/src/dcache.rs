@@ -196,6 +196,11 @@ pub(crate) struct Block {
     pub(crate) entry_va: Addr,
     pub(crate) world: World,
     pub(crate) ttbr0: Addr,
+    /// Index of the decoded page the block was built from. Valid for
+    /// the block's whole life: the decode cache is only ever cleared by
+    /// a generation bump or an accelerator-wide invalidation, and both
+    /// drop every block before the next dispatch can reach it.
+    pub(crate) page: u32,
     /// The straight-line body (condition fields pre-extracted).
     pub(crate) body: Box<[(Insn, Cond)]>,
     /// How the trace ends.
@@ -214,10 +219,57 @@ pub(crate) struct Block {
     /// Dispatch hits since the block was built; crossing the promotion
     /// threshold triggers one-time micro-op specialisation.
     pub(crate) hot: u64,
-    /// The specialised micro-op trace, once promoted. Dies with the
-    /// block on every invalidation, so it needs no re-validation beyond
-    /// the block's own.
+    /// The specialised micro-op region, once promoted: the block grown
+    /// through its conditional forward branches (see [`crate::uop`]).
+    /// Dies with the block on every invalidation, so it needs no
+    /// re-validation beyond the block's own.
     pub(crate) uop: Option<Box<UopTrace>>,
+}
+
+/// How the trace builders treat one predecoded instruction (the block
+/// admission rules, shared by superblock formation and micro-op region
+/// formation so the two can never disagree on what a trace may hold).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Admit {
+    /// A block-safe body instruction, with the most cycles it can charge.
+    Body(u64),
+    /// A direct `B`/`BL`: its target is static, so it can sit inside a
+    /// trace. Charges at most `cost::INSN + cost::BRANCH_TAKEN`.
+    Branch {
+        /// The branch's condition field.
+        cond: Cond,
+        /// Absolute taken-branch target (`va + 8 + offset*4`).
+        target: Addr,
+        /// `BL`: write the return address to `LR` when taken.
+        link: bool,
+    },
+    /// Can fault, write memory outside the data fast path, or redirect
+    /// the PC indirectly: the trace ends *before* it.
+    Stop,
+}
+
+/// Classifies the instruction at `va` under the block admission rules.
+pub(crate) fn admit(insn: Insn, va: Addr) -> Admit {
+    match insn {
+        Insn::Dp { .. } | Insn::Movw { .. } | Insn::Movt { .. } | Insn::Mrs { .. } => {
+            Admit::Body(cost::INSN)
+        }
+        Insn::Mul { .. } => Admit::Body(cost::INSN + cost::MUL),
+        // Single-register loads/stores are memory-inclusive: the runner
+        // executes them through the data-TLB hit path and stops the block
+        // at the retired prefix on any hazard (miss, permission refusal,
+        // alignment, access fault, watched-page store) — see
+        // `Machine::step_superblock`.
+        Insn::Ldr { .. } | Insn::Str { .. } => Admit::Body(cost::INSN + cost::MEM),
+        Insn::B { cond, offset } | Insn::Bl { cond, offset } => Admit::Branch {
+            cond,
+            target: va
+                .wrapping_add(8)
+                .wrapping_add((offset as u32).wrapping_mul(4)),
+            link: matches!(insn, Insn::Bl { .. }),
+        },
+        _ => Admit::Stop,
+    }
 }
 
 /// Index sentinel: "no worthwhile block starts at this address" (the entry
@@ -263,6 +315,15 @@ pub struct SbStats {
     /// Whole-cache invalidations that dropped at least one specialised
     /// trace (micro-op traces die with their superblocks).
     pub uop_invalidations: u64,
+    /// Instructions retired through specialised micro-op regions.
+    pub retired_uop: u64,
+    /// Instructions retired through the generic superblock body loop.
+    pub retired_sb: u64,
+    /// Instructions retired by per-instruction stepping. The three
+    /// `retired_*` counters sum to the step budget `Machine::run_user`
+    /// consumed: every user instruction that completed without raising
+    /// an exception, whichever rung retired it.
+    pub retired_step: u64,
 }
 
 impl SbStats {
@@ -439,11 +500,13 @@ impl FetchAccel {
         self.sb.last = None;
     }
 
-    /// Counts one dispatch hit against block `id` and specialises it
-    /// into a micro-op trace once it crosses the promotion threshold.
-    /// Called from the two cache-hit paths in [`FetchAccel::sb_dispatch`]
-    /// — builds don't count, so a trace invalidated every dispatch never
-    /// pays the specialisation cost.
+    /// Counts one dispatch hit against block `id` and, once it crosses
+    /// the promotion threshold, specialises the micro-op region entered
+    /// at the block's address — the block grown through its conditional
+    /// forward branches, read from the same decoded page. Called from
+    /// the two cache-hit paths in [`FetchAccel::sb_dispatch`] — builds
+    /// don't count, so a trace invalidated every dispatch never pays the
+    /// specialisation cost.
     fn sb_promote_if_hot(&mut self, id: u32, trace: &mut FlightRecorder, cycle: u64) {
         if !self.uop_enabled {
             return;
@@ -453,28 +516,24 @@ impl FetchAccel {
             return;
         }
         b.hot += 1;
-        if b.hot < self.uop_threshold {
+        if b.hot < self.uop_threshold || self.dcache.gen != self.sb.gen {
             return;
         }
-        let t = crate::uop::specialise(b);
+        let page = &self.dcache.pages[b.page as usize];
+        let start = (page_offset(b.entry_va) / WORD_BYTES) as usize;
+        let code = page.entries[start..]
+            .iter()
+            .map(|&(_, insn, cond)| (insn, cond));
+        let t = crate::uop::specialise(b.entry_va, code);
         trace.record(
             cycle,
             Event::UopPromote {
                 entry_va: b.entry_va,
-                len: t.body.len() as u32,
+                len: t.steps as u32,
             },
         );
         b.uop = Some(Box::new(t));
         self.sb.stats.uop_promoted += 1;
-    }
-
-    /// Counts trace executions through the specialised micro-op tier.
-    /// One dispatch can carry several: a self-looping trace chains
-    /// iterations without returning to the dispatcher, and each chained
-    /// pass counts as a hit (the per-dispatch equivalent would have
-    /// re-dispatched once per iteration).
-    pub(crate) fn sb_note_uop_hits(&mut self, n: u64) {
-        self.sb.stats.uop_hits += n;
     }
 
     /// Looks up (or builds) the superblock entered at `pc` under
@@ -579,45 +638,25 @@ impl FetchAccel {
         if h.va_page != page_base(pc) || h.world != world || h.ttbr0 != ttbr0 {
             return None;
         }
-        let page = &self.dcache.pages[h.idx];
+        let page_idx = h.idx;
+        let page = &self.dcache.pages[page_idx];
         let start = (page_offset(pc) / WORD_BYTES) as usize;
         let mut body = Vec::new();
         let mut max_charge = 0u64;
         let mut end = BlockEnd::Fallthrough;
         for &(_, insn, cond) in &page.entries[start..] {
-            match insn {
-                Insn::Dp { .. } | Insn::Movw { .. } | Insn::Movt { .. } | Insn::Mrs { .. } => {
-                    max_charge += cost::INSN;
+            let va = pc.wrapping_add(body.len() as u32 * WORD_BYTES);
+            match admit(insn, va) {
+                Admit::Body(charge) => {
+                    max_charge += charge;
                     body.push((insn, cond));
                 }
-                Insn::Mul { .. } => {
-                    max_charge += cost::INSN + cost::MUL;
-                    body.push((insn, cond));
-                }
-                // Single-register loads/stores are memory-inclusive: the
-                // runner executes them through the data-TLB hit path and
-                // stops the block at the retired prefix on any hazard
-                // (miss, permission refusal, alignment, access fault,
-                // watched-page store) — see `Machine::step_superblock`.
-                Insn::Ldr { .. } | Insn::Str { .. } => {
-                    max_charge += cost::INSN + cost::MEM;
-                    body.push((insn, cond));
-                }
-                Insn::B { cond, offset } | Insn::Bl { cond, offset } => {
-                    let va = pc.wrapping_add(body.len() as u32 * WORD_BYTES);
-                    end = BlockEnd::Branch {
-                        cond,
-                        target: va
-                            .wrapping_add(8)
-                            .wrapping_add((offset as u32).wrapping_mul(4)),
-                        link: matches!(insn, Insn::Bl { .. }),
-                    };
+                Admit::Branch { cond, target, link } => {
+                    end = BlockEnd::Branch { cond, target, link };
                     max_charge += cost::INSN + cost::BRANCH_TAKEN;
                     break;
                 }
-                // Anything that can fault, write memory, or redirect the
-                // PC ends the trace *before* itself.
-                _ => break,
+                Admit::Stop => break,
             }
         }
         let with_branch = matches!(end, BlockEnd::Branch { .. });
@@ -638,6 +677,7 @@ impl FetchAccel {
             entry_va: pc,
             world,
             ttbr0,
+            page: page_idx as u32,
             body: body.into_boxed_slice(),
             end,
             max_charge,
@@ -658,12 +698,38 @@ impl FetchAccel {
         &self.sb.blocks[id as usize]
     }
 
-    /// Records how the dispatched block `id` exited after retiring
-    /// `insns` instructions. `None` (wake fallback or a mid-block
-    /// step-budget stop) breaks the chain.
+    /// Records how the dispatched block `id` exited after its generic
+    /// body loop retired `insns` instructions. `None` (wake fallback or a
+    /// mid-block stop) breaks the chain.
     pub(crate) fn sb_note_exit(&mut self, id: u32, exit: Option<ExitKind>, insns: u64) {
         self.served += insns;
+        self.sb.stats.retired_sb += insns;
         self.sb.last = exit.map(|k| (id, k));
+    }
+
+    /// As [`FetchAccel::sb_note_exit`] for a run of block `id`'s
+    /// specialised region: `insns` retired over `passes` passes (`None`
+    /// also covers a side exit). One dispatch can carry several passes —
+    /// a self-looping region chains iterations without returning to the
+    /// dispatcher — and each counts as a uop hit (the per-dispatch
+    /// equivalent would have re-dispatched once per iteration).
+    pub(crate) fn uop_note_exit(
+        &mut self,
+        id: u32,
+        exit: Option<ExitKind>,
+        insns: u64,
+        passes: u64,
+    ) {
+        self.served += insns;
+        self.sb.stats.retired_uop += insns;
+        self.sb.stats.uop_hits += passes;
+        self.sb.last = exit.map(|k| (id, k));
+    }
+
+    /// Counts one instruction retired by per-instruction stepping.
+    #[inline]
+    pub(crate) fn note_step(&mut self) {
+        self.sb.stats.retired_step += 1;
     }
 
     /// Number of pages currently cached.

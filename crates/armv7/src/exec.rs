@@ -6,7 +6,7 @@
 //! fault-status registers and switch the machine into the appropriate
 //! banked mode before returning an [`ExitReason`] to the privileged caller.
 
-use crate::alu::{alu, alu_value, eval_op2, eval_op2_value, shift_value};
+use crate::alu::{add_with_carry, alu, alu_value, eval_op2, eval_op2_value, shift_value};
 use crate::cp15::FaultStatus;
 use crate::dcache::{BlockEnd, ExitKind};
 use crate::decode::decode;
@@ -169,7 +169,7 @@ impl Machine {
                 continue;
             }
             match self.step(world, ttbr0) {
-                StepOutcome::Continue => {}
+                StepOutcome::Continue => self.accel.note_step(),
                 StepOutcome::Exit(reason) => return Ok(reason),
             }
             steps_left -= 1;
@@ -214,6 +214,10 @@ impl Machine {
     ///   same way so no possibly-stale trace entry after it executes.
     ///   A block stopping before retiring anything returns `None` so the
     ///   per-insn step guarantees progress (and refills the data-TLB).
+    /// - **Regions**: a promoted block's micro-op region runs instead when
+    ///   both guards above hold for the whole region (its length and its
+    ///   summed worst-case charge), with the same accounting over the
+    ///   path it retired — see `run_uop_trace`.
     fn step_superblock(
         &mut self,
         world: World,
@@ -240,29 +244,23 @@ impl Machine {
             ..
         } = self;
         let b = accel.sb_block(id);
-        if *cycles + b.max_charge >= wake {
-            accel.sb_note_exit(id, None, 0);
-            return None;
-        }
-        let n_body = b.body.len() as u64;
-        let has_branch = matches!(b.end, BlockEnd::Branch { .. });
-        let full = steps_left >= n_body + has_branch as u64;
-        // Specialised micro-op tier: once the block is promoted, the
-        // whole-trace case runs its specialised form instead of the
-        // generic body loop below. Only the whole-trace case — a partial
-        // step budget needs the prefix semantics of the generic loop,
-        // and `full` is computed from the *block's* body (fusion moves
-        // an instruction into the uop exit without changing how many
-        // steps the trace consumes). Hazard behaviour is identical: the
-        // runner stops at the exactly-retired prefix, and a first-op
-        // hazard returns `None` so the per-insn step makes progress.
-        if full {
-            if let Some(u) = &b.uop {
-                let (retired, data_hits, extra, iters, exit) = run_uop_trace(
+        // Specialised micro-op tier: once the block is promoted, its
+        // region runs instead of the generic body loop below whenever
+        // both dispatch guards hold for a whole pass — the remaining
+        // budget covers the region's length and its worst-case charge
+        // ends before the wake deadline (the same hoisting argument as
+        // for a block, over the longer trace). Otherwise the block runs
+        // generically under its own, shorter guards. Hazard behaviour is
+        // identical: the runner stops at the exactly-retired path
+        // prefix, and a first-op hazard returns `None` so the per-insn
+        // step makes progress.
+        if let Some(u) = &b.uop {
+            if steps_left >= u.steps && *cycles + u.max_charge < wake {
+                debug_assert_eq!(*pc, b.entry_va);
+                let (retired, data_hits, extra, passes, exit) = run_uop_trace(
                     u,
                     gen_entry,
                     b.entry_va,
-                    b.max_charge,
                     wake - *cycles,
                     steps_left,
                     world,
@@ -280,11 +278,17 @@ impl Machine {
                 tlb.note_hits(retired + data_hits);
                 mem.note_reads(retired);
                 *cycles += retired * cost::INSN + extra;
-                accel.sb_note_uop_hits(iters);
-                accel.sb_note_exit(id, exit, retired);
+                accel.uop_note_exit(id, exit, retired, passes);
                 return Some(retired);
             }
         }
+        if *cycles + b.max_charge >= wake {
+            accel.sb_note_exit(id, None, 0);
+            return None;
+        }
+        let n_body = b.body.len() as u64;
+        let has_branch = matches!(b.end, BlockEnd::Branch { .. });
+        let full = steps_left >= n_body + has_branch as u64;
         let n_exec = if full { n_body } else { steps_left.min(n_body) };
         let mut extra = 0u64;
         let mut data_hits = 0u64;
@@ -775,6 +779,15 @@ fn exec_straightline(regs: &mut RegFile, cpsr: &mut Psr, mode: Mode, insn: Insn)
     }
 }
 
+/// Writes NZCV from an adder result.
+#[inline]
+fn set_nzcv(psr: &mut Psr, v: Word, c: bool, o: bool) {
+    psr.n = v & 0x8000_0000 != 0;
+    psr.z = v == 0;
+    psr.c = c;
+    psr.v = o;
+}
+
 /// Effective address of a micro-op memory access over the flat register
 /// copy (immediate offsets were pre-negated at specialisation time, so
 /// one wrapping add covers both signs — equivalent to `mem_ea_regs`).
@@ -821,36 +834,46 @@ fn site_lookup(
     Some((pa, attrs))
 }
 
-/// Executes a specialised micro-op trace over a flat copy of the
+/// Executes a specialised micro-op region over a flat copy of the
 /// user-visible registers and a local PSR, committing the exactly
-/// retired prefix. Returns `(retired, data_hits, extra_cycles, iters,
+/// retired path. Returns `(retired, data_hits, extra_cycles, passes,
 /// exit)` for the caller to batch-account precisely like the superblock
 /// body loop; `retired == 0` means a first-op hazard left the machine
 /// untouched (the caller falls back to per-instruction stepping).
 ///
-/// **Self-loop chaining.** When the trace's exit branch is taken back to
-/// its own entry (`target == entry_va`), the runner re-enters the body
-/// in place — no commit, no re-dispatch, no regfile round-trip — as long
-/// as the caller's two dispatch guards still hold for a whole further
-/// pass: the remaining step budget covers one more full iteration
-/// (`iter_steps`, counted on the *block's* instructions, exactly what
-/// the dispatcher's `full` check requires), and the accumulated cycle
-/// charge plus a worst-case pass still ends before the wake deadline
-/// (`cost + max_charge < cycle_budget`, the wake-hoisting guard with the
-/// dispatch-time cycle count folded into `cycle_budget`). Stopping short
-/// on either guard just bounces back to the dispatcher, which re-checks
-/// the same conditions — so chaining is invisible to the cycle model.
+/// **One pass** starts at the region's entry (the dispatcher only runs a
+/// region at its entry PC), so body index `i` is the instruction at
+/// `entry_va + 4*i`. Every visited entry retires one instruction —
+/// executed, or skipped by a failed condition, exactly as per-instruction
+/// stepping retires a condition-failed instruction. A taken internal
+/// jump charges `cost::BRANCH_TAKEN` and resumes at its target index,
+/// retiring nothing in between (the per-instruction path would never
+/// fetch the skipped instructions); a taken side exit charges the same
+/// and ends the pass with the PC at its target.
 ///
-/// Mid-trace stops happen only at memory micro-ops (hazard) or right
-/// after a code-generation bump — points where the specialiser's flag
-/// liveness forced every earlier flag write to materialise — so the
-/// committed PSR at any stop is bit-for-bit the per-instruction one.
+/// **Self-loop chaining.** When the region's final branch is taken back
+/// to its own entry (`target == entry_va`), the runner re-enters the
+/// body in place — no commit, no re-dispatch, no regfile round-trip — as
+/// long as the caller's two dispatch guards still hold for a whole
+/// further pass: the remaining step budget covers the region's length
+/// (`t.steps`, exactly what the dispatcher requires), and the
+/// accumulated cycle charge plus a worst-case pass still ends before the
+/// wake deadline (`cost + t.max_charge < cycle_budget`, the wake-hoisting
+/// guard with the dispatch-time cycle count folded into `cycle_budget`).
+/// Stopping short on either guard just bounces back to the dispatcher,
+/// which re-checks the same conditions — so chaining is invisible to the
+/// cycle model.
+///
+/// Mid-pass stops happen only at memory micro-ops (hazard), right after
+/// a code-generation bump, or at a side exit — points where the
+/// specialiser's flag liveness forced every earlier flag write on the
+/// path to materialise — so the committed PSR at any stop is
+/// bit-for-bit the per-instruction one.
 #[allow(clippy::too_many_arguments)]
 fn run_uop_trace(
     t: &UopTrace,
     gen_entry: u64,
     entry_va: Addr,
-    max_charge: u64,
     cycle_budget: u64,
     steps_left: u64,
     world: World,
@@ -861,36 +884,31 @@ fn run_uop_trace(
     mem: &mut PhysMem,
     dtlb: &mut DataTlb,
 ) -> (u64, u64, u64, u64, Option<ExitKind>) {
-    // Architectural steps one full pass consumes: one per body micro-op
-    // plus the exit's share (a fused exit retires the folded ALU and the
-    // branch). This always equals the block's `n_body + has_branch`, so
-    // the chaining budget check below is the dispatcher's `full` check.
-    let iter_steps = t.body.len() as u64
-        + match t.end {
-            UopEnd::Fall => 0,
-            UopEnd::Branch { .. } => 1,
-            UopEnd::FusedBranch { .. } => 2,
-        };
     let self_loop = match t.end {
         UopEnd::Fall => false,
         UopEnd::Branch { target, link, .. } | UopEnd::FusedBranch { target, link, .. } => {
             !link && target == entry_va
         }
     };
+    let body = &t.body[..];
     let mut r = regs.user_visible();
     let mut psr = *cpsr;
     let mut total = 0u64;
     let mut data_hits = 0u64;
     let mut extra = 0u64;
-    let mut iters = 0u64;
-    let mut pc_cur = *pc;
-    let final_exit = 'chain: loop {
-        iters += 1;
+    let mut passes = 0u64;
+    let at = |i: usize| entry_va.wrapping_add(i as u32 * WORD_BYTES);
+    let (pc_out, final_exit) = 'chain: loop {
+        passes += 1;
         let mut n_ret = 0u64;
-        let mut stopped = false;
-        for e in t.body.iter() {
+        let mut i = 0usize;
+        // Where the pass stopped early, if it did: the PC to commit.
+        let mut stop = None;
+        while i < body.len() {
+            let e = &body[i];
             if e.cond != Cond::Al && !cond_holds(psr, e.cond) {
                 n_ret += 1;
+                i += 1;
                 continue;
             }
             match e.op {
@@ -944,8 +962,56 @@ fn run_uop_trace(
                     psr.z = v == 0;
                     extra += cost::MUL;
                 }
+                Uop::CmpReg { rn, rm } => {
+                    let (v, c, o) = add_with_carry(r[rn as usize], !r[rm as usize], true);
+                    set_nzcv(&mut psr, v, c, o);
+                }
+                Uop::AddsReg { rd, rn, rm } => {
+                    let (v, c, o) = add_with_carry(r[rn as usize], r[rm as usize], false);
+                    r[rd as usize] = v;
+                    set_nzcv(&mut psr, v, c, o);
+                }
+                Uop::SubsReg { rd, rn, rm } => {
+                    let (v, c, o) = add_with_carry(r[rn as usize], !r[rm as usize], true);
+                    r[rd as usize] = v;
+                    set_nzcv(&mut psr, v, c, o);
+                }
+                Uop::OrrsReg { rd, rn, rm } => {
+                    let v = r[rn as usize] | r[rm as usize];
+                    r[rd as usize] = v;
+                    psr.n = v & 0x8000_0000 != 0;
+                    psr.z = v == 0;
+                }
+                Uop::TstImm { rn, imm } => {
+                    let v = r[rn as usize] & imm;
+                    psr.n = v & 0x8000_0000 != 0;
+                    psr.z = v == 0;
+                }
+                Uop::AdcReg { rd, rn, rm } => {
+                    r[rd as usize] = r[rn as usize]
+                        .wrapping_add(r[rm as usize])
+                        .wrapping_add(psr.c as Word);
+                }
+                Uop::SbcReg { rd, rn, rm } => {
+                    r[rd as usize] = r[rn as usize]
+                        .wrapping_sub(r[rm as usize])
+                        .wrapping_sub(!psr.c as Word);
+                }
+                Uop::LsrImm { rd, rm, amount } => r[rd as usize] = r[rm as usize] >> amount,
                 Uop::ReadCpsr { rd } => r[rd as usize] = psr.encode(),
                 Uop::Nop => {}
+                Uop::Jump { to } => {
+                    extra += cost::BRANCH_TAKEN;
+                    n_ret += 1;
+                    i = to as usize;
+                    continue;
+                }
+                Uop::SideExit { target } => {
+                    extra += cost::BRANCH_TAKEN;
+                    n_ret += 1;
+                    stop = Some(target);
+                    break;
+                }
                 Uop::Load {
                     rd,
                     base,
@@ -956,7 +1022,7 @@ fn run_uop_trace(
                     let va = uop_ea(&r, base, off);
                     let Some((pa, attrs)) = site_lookup(t, site, va, world, ttbr0, dtlb, false)
                     else {
-                        stopped = true;
+                        stop = Some(at(i));
                         break;
                     };
                     let res = if byte {
@@ -965,7 +1031,7 @@ fn run_uop_trace(
                         mem.read(pa, attrs)
                     };
                     let Ok(v) = res else {
-                        stopped = true;
+                        stop = Some(at(i));
                         break;
                     };
                     r[rd as usize] = v;
@@ -982,7 +1048,7 @@ fn run_uop_trace(
                     let va = uop_ea(&r, base, off);
                     let Some((pa, attrs)) = site_lookup(t, site, va, world, ttbr0, dtlb, true)
                     else {
-                        stopped = true;
+                        stop = Some(at(i));
                         break;
                     };
                     let v = r[rd as usize];
@@ -992,7 +1058,7 @@ fn run_uop_trace(
                         mem.write(pa, v, attrs)
                     };
                     if res.is_err() {
-                        stopped = true;
+                        stop = Some(at(i));
                         break;
                     }
                     data_hits += 1;
@@ -1001,26 +1067,28 @@ fn run_uop_trace(
                         // Self-modifying store: retire it, then stop so no
                         // possibly-stale micro-op after it executes.
                         n_ret += 1;
-                        stopped = true;
+                        stop = Some(at(i + 1));
                         break;
                     }
                 }
             }
             n_ret += 1;
+            i += 1;
         }
-        if stopped {
+        if let Some(stop_pc) = stop {
             if total == 0 && n_ret == 0 {
                 // First micro-op hit a hazard: the locals were never
                 // written, so there is nothing to commit and the caller
                 // falls back. (A first-op hazard on a *chained* pass
-                // commits the completed iterations below instead.)
+                // commits the completed passes below instead.)
                 return (0, 0, 0, 0, None);
             }
             total += n_ret;
-            pc_cur = pc_cur.wrapping_add(n_ret as u32 * WORD_BYTES);
-            break 'chain None;
+            // A hazard or side exit breaks the successor chain: the next
+            // dispatch probes the index (a missed shortcut at worst).
+            break 'chain (stop_pc, None);
         }
-        let mut pc_new = pc_cur.wrapping_add(n_ret as u32 * WORD_BYTES);
+        let mut pc_new = at(body.len());
         total += n_ret;
         let mut exit = ExitKind::Fall;
         match t.end {
@@ -1049,7 +1117,7 @@ fn run_uop_trace(
                 link,
             } => {
                 // The folded flag-setting ALU retires first (it was the
-                // block's last body instruction, always unconditional) ...
+                // region's last body instruction, always unconditional) ...
                 let sh = eval_op2(op2, psr.c, |reg| r[reg.index() as usize]);
                 let res = alu(op, r[rn as usize], sh, psr);
                 if wb {
@@ -1078,23 +1146,22 @@ fn run_uop_trace(
                 }
             }
         }
-        pc_cur = pc_new;
         // Chain straight back into the body when the taken exit re-enters
-        // this trace and both dispatch guards still hold for a whole
+        // this region and both dispatch guards still hold for a whole
         // further pass; otherwise commit and return to the dispatcher.
         if self_loop
             && exit == ExitKind::Taken
-            && steps_left - total >= iter_steps
-            && total * cost::INSN + extra + max_charge < cycle_budget
+            && steps_left - total >= t.steps
+            && total * cost::INSN + extra + t.max_charge < cycle_budget
         {
             continue 'chain;
         }
-        break 'chain Some(exit);
+        break 'chain (pc_new, Some(exit));
     };
     regs.set_user_visible(&r);
     *cpsr = psr;
-    *pc = pc_cur;
-    (total, data_hits, extra, iters, final_exit)
+    *pc = pc_out;
+    (total, data_hits, extra, passes, final_exit)
 }
 
 #[cfg(test)]
@@ -1600,7 +1667,23 @@ mod tests {
         assert!(m_uop == m_off, "uop architectural state diverged");
         assert!(m_sb == m_off, "superblock architectural state diverged");
         assert!(m_on == m_off, "accel-only architectural state diverged");
+        assert_retired_exact(&[&m_uop, &m_sb, &m_on, &m_off]);
         (m_uop, m_sb, e_sb)
+    }
+
+    /// The per-tier retirement counters of a four-way run (uop, sb,
+    /// accel, base) each sum to the same instruction count, and each
+    /// rung retires only through the tiers it has enabled.
+    fn assert_retired_exact(ms: &[&Machine; 4]) {
+        let snaps = ms.map(|m| m.metrics_snapshot());
+        let total = snaps[3].retired();
+        for (i, s) in snaps.iter().enumerate() {
+            assert_eq!(s.retired(), total, "rung {i}: retired sum diverged: {s:?}");
+        }
+        assert_eq!(snaps[1].retired_uop, 0, "sb rung retired through uops");
+        for s in &snaps[2..] {
+            assert_eq!((s.retired_uop, s.retired_sb), (0, 0), "trace ran while off");
+        }
     }
 
     /// A store that overwrites an instruction belonging to the executing

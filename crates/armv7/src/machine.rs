@@ -221,6 +221,9 @@ impl Machine {
             uop_promoted: sb.uop_promoted,
             uop_hits: sb.uop_hits,
             uop_invalidations: sb.uop_invalidations,
+            retired_uop: sb.retired_uop,
+            retired_sb: sb.retired_sb,
+            retired_step: sb.retired_step,
             trace_capacity: self.trace.capacity() as u64,
             trace_recorded: self.trace.total_recorded(),
             trace_dropped: self.trace.dropped(),

@@ -9,7 +9,11 @@
 //!   run ends in a well-defined exception state,
 //! - execution is *deterministic under preemption*: interrupting a
 //!   computation at any point and resuming it reaches exactly the same
-//!   final state.
+//!   final state,
+//! - every rung of the execution ladder (micro-op regions, superblocks,
+//!   fetch accelerator, baseline) yields the identical machine, and the
+//!   per-tier retirement counters always sum to the same instruction
+//!   count.
 
 use komodo_armv7::insn::{Cond, DpOp, MemOffset, Op2, Shift};
 use komodo_armv7::mem::AccessAttrs;
@@ -52,6 +56,53 @@ fn machine_with(code: &[u32]) -> Machine {
     m.cpsr = Psr::user();
     m.pc = CODE_VA;
     m
+}
+
+/// As [`machine_with`], with chosen code-page permissions (RWX enables
+/// self-modifying code) and four RW data pages at `0x9000..0xd000`, so
+/// strided loads and stores keep meeting pages the data-TLB has not seen.
+fn machine_with_pages(code: &[u32], code_perms: PagePerms) -> Machine {
+    let mut m = machine_with(code);
+    let l2 = 0x8000_1000u32;
+    m.mem
+        .write(
+            l2 + 8 * 4,
+            l2_page_desc(0x8000_2000, code_perms, false),
+            AccessAttrs::MONITOR,
+        )
+        .unwrap();
+    for i in 9u32..13 {
+        m.mem
+            .write(
+                l2 + i * 4,
+                l2_page_desc(0x8000_3000 + (i - 9) * 0x1000, PagePerms::RW, false),
+                AccessAttrs::MONITOR,
+            )
+            .unwrap();
+    }
+    m
+}
+
+/// Instructions retired across every rung (uop + sb + per-instruction).
+fn retired(m: &Machine) -> u64 {
+    m.metrics_snapshot().retired()
+}
+
+/// The execution rungs, fastest first: (accel, superblocks, uop traces).
+const RUNGS: [(bool, bool, bool); 4] = [
+    (true, true, true),
+    (true, true, false),
+    (true, false, false),
+    (false, false, false),
+];
+
+/// A `B<cond>` at code index `at` targeting code index `to` (both in
+/// words from [`CODE_VA`]).
+fn b_at(cond: Cond, at: usize, to: usize) -> Insn {
+    Insn::B {
+        cond,
+        offset: to as i32 - at as i32 - 2,
+    }
 }
 
 fn arb_dp() -> impl Strategy<Value = Insn> {
@@ -147,6 +198,144 @@ fn arb_mem_or_dp() -> impl Strategy<Value = Insn> {
         arb_dp().boxed(),
         arb_dp().boxed()
     ]
+}
+
+/// Any condition but `AL`.
+fn arb_cond() -> impl Strategy<Value = Cond> {
+    prop_oneof![
+        Just(Cond::Eq),
+        Just(Cond::Ne),
+        Just(Cond::Cs),
+        Just(Cond::Cc),
+        Just(Cond::Mi),
+        Just(Cond::Pl),
+        Just(Cond::Vs),
+        Just(Cond::Vc),
+        Just(Cond::Hi),
+        Just(Cond::Ls),
+        Just(Cond::Ge),
+        Just(Cond::Lt),
+        Just(Cond::Gt),
+        Just(Cond::Le)
+    ]
+}
+
+/// Flag producers and consumers: `S`-setting arithmetic and logic,
+/// compares, and carry-in consumers (`ADC`/`SBC`), some executed
+/// conditionally — what dead-flag elimination and region liveness see.
+fn arb_flag_dp() -> impl Strategy<Value = Insn> {
+    (
+        prop_oneof![
+            Just(DpOp::Add),
+            Just(DpOp::Sub),
+            Just(DpOp::Adc),
+            Just(DpOp::Sbc),
+            Just(DpOp::And),
+            Just(DpOp::Orr),
+            Just(DpOp::Eor),
+            Just(DpOp::Cmp),
+            Just(DpOp::Cmn),
+            Just(DpOp::Tst),
+            Just(DpOp::Teq)
+        ],
+        any::<bool>(),
+        0u8..7,
+        0u8..7,
+        prop_oneof![
+            (any::<u8>(), 0u8..16).prop_map(|(imm8, rot)| Op2::Imm { imm8, rot }),
+            (0u8..7).prop_map(|rm| Op2::reg(Reg::R(rm))),
+        ],
+        prop_oneof![Just(Cond::Al), Just(Cond::Al), arb_cond().boxed()],
+    )
+        .prop_map(|(op, s, rd, rn, op2, cond)| Insn::Dp {
+            cond,
+            op,
+            s: s || op.is_compare(),
+            rd: Reg::R(if op.is_compare() { 0 } else { rd }),
+            rn: Reg::R(rn),
+            op2,
+        })
+}
+
+/// Keeps a generated instruction off `R7`, the region loops' trip
+/// counter, so generated loops terminate.
+fn spare_r7(insn: Insn) -> Insn {
+    let fix = |r: Reg| if r == Reg::R(7) { Reg::R(6) } else { r };
+    match insn {
+        Insn::Dp {
+            cond,
+            op,
+            s,
+            rd,
+            rn,
+            op2,
+        } => Insn::Dp {
+            cond,
+            op,
+            s,
+            rd: fix(rd),
+            rn,
+            op2,
+        },
+        Insn::Ldr {
+            cond,
+            rd,
+            rn,
+            off,
+            byte,
+        } => Insn::Ldr {
+            cond,
+            rd: fix(rd),
+            rn,
+            off,
+            byte,
+        },
+        other => other,
+    }
+}
+
+/// One element of a generated region loop body.
+#[derive(Clone, Copy, Debug)]
+enum Item {
+    /// A straight-line instruction.
+    Op(Insn),
+    /// A conditional forward branch over the next `dist` elements (past
+    /// the body it lands on the loop's back edge, or leaves the loop).
+    Skip { cond: Cond, dist: usize },
+}
+
+fn arb_item() -> impl Strategy<Value = Item> {
+    prop_oneof![
+        arb_dp().prop_map(|i| Item::Op(spare_r7(i))).boxed(),
+        arb_flag_dp().prop_map(Item::Op).boxed(),
+        arb_flag_dp().prop_map(Item::Op).boxed(),
+        arb_mem().prop_map(|i| Item::Op(spare_r7(i))).boxed(),
+        (arb_cond(), 0usize..5)
+            .prop_map(|(cond, dist)| Item::Skip { cond, dist })
+            .boxed(),
+        (arb_cond(), 0usize..5)
+            .prop_map(|(cond, dist)| Item::Skip { cond, dist })
+            .boxed()
+    ]
+}
+
+/// Assembles a region loop at [`CODE_VA`]: the body, then
+/// `SUBS r7, r7, #1; BNE top; SVC 0`. A forward skip past the body lands
+/// on the `SUBS`, the `BNE` (the region's exit branch) or the `SVC`
+/// (a side exit).
+fn region_loop(items: &[Item]) -> Vec<u32> {
+    let n = items.len();
+    let mut a = Assembler::new(CODE_VA);
+    for (i, item) in items.iter().enumerate() {
+        match *item {
+            Item::Op(insn) => a.emit(insn),
+            Item::Skip { cond, dist } => a.emit(b_at(cond, i, (i + 1 + dist).min(n + 2))),
+        }
+    }
+    a.subs_imm(Reg::R(7), Reg::R(7), 1);
+    a.emit(b_at(Cond::Ne, n + 1, 0));
+    a.svc(0);
+    a.words()
 }
 
 /// Oracle: evaluate a non-flag-setting DP instruction over a register
@@ -397,6 +586,9 @@ proptest! {
         prop_assert!(uop == off, "uop architectural state diverged");
         prop_assert!(sb == off, "superblock architectural state diverged");
         prop_assert!(on == off, "architectural state diverged");
+        for m in [&uop, &sb, &on] {
+            prop_assert_eq!(retired(m), retired(&off), "retired sum diverged");
+        }
     }
 
     /// Same four-way invisibility property on a structured compute
@@ -473,6 +665,9 @@ proptest! {
         prop_assert!(uop == off, "uop architectural state diverged");
         prop_assert!(sb == off, "superblock architectural state diverged");
         prop_assert!(on == off, "architectural state diverged");
+        for m in [&uop, &sb, &on] {
+            prop_assert_eq!(retired(m), retired(&off), "retired sum diverged");
+        }
     }
 
     /// Four-way invisibility on *memory-heavy* programs: random mixes of
@@ -532,6 +727,9 @@ proptest! {
         prop_assert!(uop == off, "uop architectural state diverged");
         prop_assert!(sb == off, "superblock architectural state diverged");
         prop_assert!(on == off, "architectural state diverged");
+        for m in [&uop, &sb, &on] {
+            prop_assert_eq!(retired(m), retired(&off), "retired sum diverged");
+        }
     }
 
     /// A structured memory kernel — the shape the data-side fast path is
@@ -607,6 +805,9 @@ proptest! {
         prop_assert!(uop == off, "uop architectural state diverged");
         prop_assert!(sb == off, "superblock architectural state diverged");
         prop_assert!(on == off, "architectural state diverged");
+        for m in [&uop, &sb, &on] {
+            prop_assert_eq!(retired(m), retired(&off), "retired sum diverged");
+        }
     }
 
     /// Satellite property for the micro-op tier: random promotion traffic
@@ -697,7 +898,267 @@ proptest! {
         prop_assert!(uop == off, "uop architectural state diverged");
         prop_assert!(sb == off, "superblock architectural state diverged");
         prop_assert!(on == off, "architectural state diverged");
+        for m in [&uop, &sb, &on] {
+            prop_assert_eq!(retired(m), retired(&off), "retired sum diverged");
+        }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Region exactness on branchy loops: random loop bodies mixing ALU
+    /// ops, flag setters and consumers, loads and stores with conditional
+    /// forward branches (internal jumps, jumps onto the back edge, and
+    /// side exits out of the loop), run with promotion forced at every
+    /// rung under random interrupt deadlines and step budgets. Each run
+    /// resumes through budget exhaustion and interrupts until the loop
+    /// leaves; the exits, the machines and the retired totals must agree
+    /// across all four rungs.
+    #[test]
+    fn prop_regions_are_exact_on_branchy_loops(
+        items in proptest::collection::vec(arb_item(), 1..40),
+        init in proptest::array::uniform8(any::<u32>()),
+        trips in 1u32..12,
+        wild in any::<u32>(),
+        irq_after in 0u64..1500,
+        budget in 1u64..400,
+    ) {
+        let code = region_loop(&items);
+        let run = |(accel, superblocks, uops): (bool, bool, bool)| {
+            let mut m = machine_with_pages(&code, PagePerms::RX);
+            m.set_fetch_accel(accel);
+            m.set_superblocks(superblocks);
+            m.set_uop_traces(uops);
+            m.set_uop_threshold(2);
+            for (i, v) in init.iter().enumerate() {
+                m.regs.set(Mode::User, Reg::R(i as u8), *v);
+            }
+            m.regs.set(Mode::User, Reg::R(7), trips);
+            m.regs.set(Mode::User, Reg::R(8), DATA_VA);
+            m.regs.set(Mode::User, Reg::R(9), DATA_VA + 0x800);
+            m.regs.set(Mode::User, Reg::R(10), wild);
+            if irq_after > 0 {
+                m.irq_at = Some(m.cycles + irq_after);
+            }
+            let mut exits = Vec::new();
+            for _ in 0..8 {
+                let exit = m.run_user(budget).unwrap();
+                exits.push(exit);
+                match exit {
+                    ExitReason::StepLimit => {}
+                    ExitReason::Irq => {
+                        m.irq_at = None;
+                        m.exception_return().unwrap();
+                    }
+                    _ => break,
+                }
+            }
+            (m, exits)
+        };
+        let [uop, sb, on, off] = RUNGS.map(run);
+        prop_assert_eq!(&uop.1, &off.1, "uop exits diverged");
+        prop_assert_eq!(&sb.1, &off.1, "superblock exits diverged");
+        prop_assert_eq!(&on.1, &off.1, "accel exits diverged");
+        prop_assert_eq!(uop.0.cycles, off.0.cycles, "uop cycle model diverged");
+        prop_assert_eq!(uop.0.tlb.hits, off.0.tlb.hits, "uop TLB accounting diverged");
+        prop_assert_eq!(uop.0.mem.reads, off.0.mem.reads, "uop read counter diverged");
+        prop_assert!(uop.0 == off.0, "uop architectural state diverged");
+        prop_assert!(sb.0 == off.0, "superblock architectural state diverged");
+        prop_assert!(on.0 == off.0, "accel architectural state diverged");
+        for m in [&uop.0, &sb.0, &on.0] {
+            prop_assert_eq!(retired(m), retired(&off.0), "retired sum diverged");
+        }
+        prop_assert_eq!(retired(&off.0), off.0.metrics_snapshot().retired_step);
+    }
+}
+
+/// Runs `code` on every rung with promotion forced, `setup` applied
+/// first, for every step budget in `budgets` (one `run_user` each, from
+/// a fresh machine), asserting the four machines and exits agree at each
+/// stop point — a sweep that pins every retired prefix and its PC.
+/// Returns the uop-rung machine and exit of the last budget.
+fn sweep_rungs(
+    code: &[u32],
+    perms: PagePerms,
+    budgets: impl IntoIterator<Item = u64>,
+    setup: impl Fn(&mut Machine),
+) -> (Machine, ExitReason) {
+    let mut last = None;
+    for budget in budgets {
+        let run = |(accel, superblocks, uops): (bool, bool, bool)| {
+            let mut m = machine_with_pages(code, perms);
+            m.set_fetch_accel(accel);
+            m.set_superblocks(superblocks);
+            m.set_uop_traces(uops);
+            m.set_uop_threshold(2);
+            setup(&mut m);
+            let exit = m.run_user(budget).unwrap();
+            (m, exit)
+        };
+        let [uop, sb, on, off] = RUNGS.map(run);
+        for (name, (m, exit)) in [("uop", &uop), ("sb", &sb), ("accel", &on)] {
+            assert_eq!(*exit, off.1, "budget {budget}: {name} exit diverged");
+            assert!(*m == off.0, "budget {budget}: {name} state diverged");
+            assert_eq!(
+                retired(m),
+                retired(&off.0),
+                "budget {budget}: {name} retired"
+            );
+        }
+        last = Some(uop);
+    }
+    last.expect("at least one budget")
+}
+
+/// A data-TLB miss on a load reached through a taken internal jump: the
+/// region must commit exactly the retired path prefix (the compare and
+/// the jump, not the skipped add) with the PC at the load, and the
+/// per-instruction step must then perform the walk.
+#[test]
+fn region_dtlb_miss_after_internal_jump_commits_the_path_prefix() {
+    let mut a = Assembler::new(CODE_VA);
+    a.cmp_imm(Reg::R(0), 0); // 0: always EQ (r0 = 0).
+    a.emit(b_at(Cond::Eq, 1, 3)); // 1: internal jump over 2.
+    a.add_imm(Reg::R(1), Reg::R(1), 1); // 2: never runs.
+    a.ldr_imm(Reg::R(2), Reg::R(8), 0); // 3: a new page every pass.
+    a.add_reg(Reg::R(3), Reg::R(3), Reg::R(2));
+    a.add_imm(Reg::R(8), Reg::R(8), 0x1000);
+    a.subs_imm(Reg::R(7), Reg::R(7), 1);
+    a.emit(b_at(Cond::Ne, 7, 0));
+    a.svc(0);
+    let setup = |m: &mut Machine| {
+        m.regs.set(Mode::User, Reg::R(7), 4);
+        m.regs.set(Mode::User, Reg::R(8), DATA_VA);
+    };
+    let (m, exit) = sweep_rungs(&a.words(), PagePerms::RX, 1..=40, setup);
+    assert_eq!(
+        exit,
+        ExitReason::Svc { imm24: 0 },
+        "the sweep ends at the SVC"
+    );
+    assert_eq!(
+        m.regs.get(Mode::Supervisor, Reg::R(1)),
+        0,
+        "skipped add ran"
+    );
+    let s = m.superblock_stats();
+    assert!(s.uop_promoted >= 1, "loop never promoted: {s:?}");
+    assert!(
+        s.retired_uop > 0,
+        "no instruction retired in a region: {s:?}"
+    );
+    assert!(s.dtlb_misses >= 4, "every pass meets a fresh page: {s:?}");
+}
+
+/// A store inside a region that patches a later instruction of the same
+/// pass: it retires, then the pass stops so the stale micro-op never
+/// runs, and the patched instruction takes effect at once.
+#[test]
+fn region_self_modifying_store_stops_after_retiring() {
+    let mut a = Assembler::new(CODE_VA);
+    a.cmp_imm(Reg::R(7), 2); // 0
+    a.emit(b_at(Cond::Ne, 1, 3)); // 1: store only on the pass with r7 == 2.
+    a.str_imm(Reg::R(4), Reg::R(9), 4 * 4); // 2: patch index 4.
+    a.add_imm(Reg::R(1), Reg::R(1), 1); // 3
+    a.add_imm(Reg::R(3), Reg::R(3), 1); // 4: becomes `add r3, r3, #2`.
+    a.subs_imm(Reg::R(7), Reg::R(7), 1);
+    a.emit(b_at(Cond::Ne, 6, 0));
+    a.svc(0);
+    let mut patch = Assembler::new(CODE_VA);
+    patch.add_imm(Reg::R(3), Reg::R(3), 2);
+    let patch_word = patch.words()[0];
+    let setup = |m: &mut Machine| {
+        m.regs.set(Mode::User, Reg::R(7), 6);
+        m.regs.set(Mode::User, Reg::R(9), CODE_VA);
+        m.regs.set(Mode::User, Reg::R(4), patch_word);
+    };
+    let (m, exit) = sweep_rungs(&a.words(), PagePerms::RWX, 1..=60, setup);
+    assert_eq!(exit, ExitReason::Svc { imm24: 0 });
+    // Passes with r7 = 6, 5, 4, 3 add 1; the patching pass and the last
+    // add 2.
+    assert_eq!(m.regs.get(Mode::Supervisor, Reg::R(3)), 4 + 2 * 2);
+    let s = m.superblock_stats();
+    assert!(s.uop_promoted >= 1, "loop never promoted: {s:?}");
+    assert!(
+        s.uop_invalidations >= 1,
+        "patch never dropped a region: {s:?}"
+    );
+}
+
+/// A carry set on the taken path only and consumed after the join: the
+/// fall-through path kills every flag, so region liveness must take the
+/// jump edge into account to keep the `ADDS` exact.
+#[test]
+fn region_flag_set_on_one_path_is_consumed_after_the_join() {
+    let mut a = Assembler::new(CODE_VA);
+    a.dp(DpOp::Add, true, Reg::R(1), Reg::R(1), Op2::reg(Reg::R(2))); // 0: sets C.
+    a.emit(Insn::Dp {
+        cond: Cond::Al,
+        op: DpOp::Tst,
+        s: true,
+        rd: Reg::R(0),
+        rn: Reg::R(0),
+        op2: Op2::imm(1),
+    }); // 1: Z from r0's parity; C passes through.
+    a.emit(b_at(Cond::Eq, 2, 4)); // 2: even r0 jumps to the join.
+    a.cmp_imm(Reg::R(3), 0); // 3: odd path: kills the carry.
+    a.dp(DpOp::Adc, false, Reg::R(4), Reg::R(4), Op2::imm(0)); // 4: join, reads C.
+    a.add_imm(Reg::R(0), Reg::R(0), 1);
+    a.subs_imm(Reg::R(7), Reg::R(7), 1);
+    a.emit(b_at(Cond::Ne, 7, 0));
+    a.svc(0);
+    let setup = |m: &mut Machine| {
+        m.regs.set(Mode::User, Reg::R(1), 0x9000_0000);
+        m.regs.set(Mode::User, Reg::R(2), 0x9000_0000);
+        m.regs.set(Mode::User, Reg::R(7), 10);
+    };
+    let (m, exit) = sweep_rungs(&a.words(), PagePerms::RX, [30, 55, 90, 200], setup);
+    assert_eq!(exit, ExitReason::Svc { imm24: 0 });
+    assert!(m.superblock_stats().uop_promoted >= 1);
+    assert!(
+        m.regs.get(Mode::Supervisor, Reg::R(4)) > 0,
+        "the carry never reached the join"
+    );
+}
+
+/// A taken side exit publishes `CPSR`: the `ADDS` carry is dead on the
+/// fall-through path (the `CMP` kills it) but reaches the exit through
+/// the carry-preserving `TST`, so it must stay exact — the `SVC` the
+/// exit lands on banks the flags into `SPSR_svc`.
+#[test]
+fn region_side_exit_publishes_every_flag() {
+    let mut a = Assembler::new(CODE_VA);
+    a.dp(DpOp::Add, true, Reg::R(0), Reg::R(0), Op2::reg(Reg::R(1))); // 0
+    a.emit(Insn::Dp {
+        cond: Cond::Al,
+        op: DpOp::Tst,
+        s: true,
+        rd: Reg::R(0),
+        rn: Reg::R(2),
+        op2: Op2::imm(1),
+    }); // 1: Z from r2's low bit; C passes through.
+    a.emit(b_at(Cond::Eq, 2, 8)); // 2: side exit to the second SVC.
+    a.lsr_imm(Reg::R(2), Reg::R(2), 1); // 3
+    a.cmp_imm(Reg::R(3), 0); // 4: kills every flag on the fall-through.
+    a.subs_imm(Reg::R(7), Reg::R(7), 1); // 5
+    a.emit(b_at(Cond::Ne, 6, 0)); // 6
+    a.svc(0); // 7
+    a.svc(1); // 8
+    let setup = |m: &mut Machine| {
+        m.regs.set(Mode::User, Reg::R(0), 0x9000_0000);
+        m.regs.set(Mode::User, Reg::R(1), 0x9000_0000);
+        // Exits on the 6th pass, whose ADDS clears C (the CMP sets it).
+        m.regs.set(Mode::User, Reg::R(2), 0x1f);
+        m.regs.set(Mode::User, Reg::R(7), 20);
+    };
+    let (m, exit) = sweep_rungs(&a.words(), PagePerms::RX, [20, 40, 60, 200], setup);
+    assert_eq!(
+        exit,
+        ExitReason::Svc { imm24: 1 },
+        "left through the side exit"
+    );
+    assert!(m.superblock_stats().uop_promoted >= 1);
 }
 
 /// FIQ takes priority over IRQ and lands in FIQ mode with its own bank.

@@ -21,6 +21,8 @@
 use komodo_armv7::insn::DpOp;
 use komodo_armv7::regs::Reg;
 use komodo_armv7::{Assembler, Cond, ExitReason, Insn, Machine, Op2, Word};
+use komodo_crypto::schnorr::P;
+use komodo_guest::math64::emit_math64;
 use komodo_guest::user::{CODE_VA, DATA_VA};
 use komodo_trace::MetricsSnapshot;
 use std::time::Instant;
@@ -146,6 +148,33 @@ pub fn hot_mixed() -> Vec<Word> {
     a.words()
 }
 
+/// Modular-multiply loop: the handshake's hot kernel. The RA enclave's
+/// Schnorr arithmetic runs `komodo_guest::math64`'s Russian-peasant
+/// `a·b mod m` — a loop of ~20 instructions per multiplier bit with five
+/// conditional forward branches — and this workload calls it back to
+/// back, feeding each product into the next, the shape micro-op regions
+/// are built for.
+pub fn modmul_loop() -> Vec<Word> {
+    let mut a = Assembler::new(CODE_VA);
+    let over = a.b_fixup(Cond::Al);
+    let math = emit_math64(&mut a);
+    let main = a.here();
+    a.fix_branch(over, main);
+    let m = P;
+    let (x, y) = (0x0123_4567_89ab_cdef % m, 0x1edc_ba98_7654_3210 % m);
+    for (r, v) in [(0, x), (4, m)] {
+        a.mov_imm32(Reg::R(r), v as u32);
+        a.mov_imm32(Reg::R(r + 1), (v >> 32) as u32);
+    }
+    let top = a.label();
+    // B = y (in R2:R3), A = the previous product (in R0:R1, < m).
+    a.mov_imm32(Reg::R(2), y as u32);
+    a.mov_imm32(Reg::R(3), (y >> 32) as u32);
+    a.bl_to(Cond::Al, math.modmul);
+    a.b_to(Cond::Al, top);
+    a.words()
+}
+
 /// The named workloads measured by the throughput bench and the
 /// `evolution` experiment binary.
 pub fn workloads() -> Vec<(&'static str, Vec<Word>)> {
@@ -156,6 +185,7 @@ pub fn workloads() -> Vec<(&'static str, Vec<Word>)> {
         ("store_loop", store_loop()),
         ("strided_copy", strided_copy()),
         ("hot_mixed", hot_mixed()),
+        ("modmul_loop", modmul_loop()),
     ]
 }
 

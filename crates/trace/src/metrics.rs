@@ -56,6 +56,15 @@ pub struct MetricsSnapshot {
     /// Superblock-cache drops that destroyed at least one specialised
     /// micro-op trace (traces die with the block cache).
     pub uop_invalidations: u64,
+    /// Instructions retired through specialised micro-op regions.
+    pub retired_uop: u64,
+    /// Instructions retired through the generic superblock body loop.
+    pub retired_sb: u64,
+    /// Instructions retired by per-instruction stepping (the accelerator
+    /// and baseline rungs, and every instruction no trace covered). The
+    /// three `retired_*` counters sum to the user instructions retired,
+    /// whichever rung retired them.
+    pub retired_step: u64,
     /// Flight-recorder capacity (0 = disabled).
     pub trace_capacity: u64,
     /// Events recorded over the capture's lifetime.
@@ -68,6 +77,11 @@ impl MetricsSnapshot {
     /// Total superblock-cache invalidations across causes.
     pub fn sb_invalidations(&self) -> u64 {
         self.sb_inval_code_gen + self.sb_inval_tlb
+    }
+
+    /// Instructions retired across every rung.
+    pub fn retired(&self) -> u64 {
+        self.retired_uop + self.retired_sb + self.retired_step
     }
 
     /// Total data-TLB invalidations across causes.
@@ -117,6 +131,9 @@ impl MetricsSnapshot {
         self.uop_promoted += other.uop_promoted;
         self.uop_hits += other.uop_hits;
         self.uop_invalidations += other.uop_invalidations;
+        self.retired_uop += other.retired_uop;
+        self.retired_sb += other.retired_sb;
+        self.retired_step += other.retired_step;
         self.trace_capacity += other.trace_capacity;
         self.trace_recorded += other.trace_recorded;
         self.trace_dropped += other.trace_dropped;
@@ -155,6 +172,9 @@ impl MetricsSnapshot {
             uop_invalidations: self
                 .uop_invalidations
                 .saturating_sub(earlier.uop_invalidations),
+            retired_uop: self.retired_uop.saturating_sub(earlier.retired_uop),
+            retired_sb: self.retired_sb.saturating_sub(earlier.retired_sb),
+            retired_step: self.retired_step.saturating_sub(earlier.retired_step),
             // Capacity is a configuration, not an accrual: a fixed-size
             // ring would otherwise always delta to zero, hiding whether
             // tracing was on during the window.
@@ -169,7 +189,7 @@ impl MetricsSnapshot {
     pub fn to_json(&self, indent: usize) -> String {
         let pad = " ".repeat(indent + 2);
         let mut out = String::from("{\n");
-        let fields: [(&str, u64); 24] = [
+        let fields: [(&str, u64); 27] = [
             ("cycles", self.cycles),
             ("mem_reads", self.mem_reads),
             ("mem_writes", self.mem_writes),
@@ -191,6 +211,9 @@ impl MetricsSnapshot {
             ("uop_promoted", self.uop_promoted),
             ("uop_hits", self.uop_hits),
             ("uop_invalidations", self.uop_invalidations),
+            ("retired_uop", self.retired_uop),
+            ("retired_sb", self.retired_sb),
+            ("retired_step", self.retired_step),
             ("trace_capacity", self.trace_capacity),
             ("trace_recorded", self.trace_recorded),
             ("trace_dropped", self.trace_dropped),
@@ -284,6 +307,9 @@ mod tests {
             "uop_promoted",
             "uop_hits",
             "uop_invalidations",
+            "retired_uop",
+            "retired_sb",
+            "retired_step",
             "trace_capacity",
             "trace_recorded",
             "trace_dropped",

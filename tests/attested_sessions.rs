@@ -1,15 +1,18 @@
 //! Attested sessions at the workspace level: the remote-attestation
 //! handshake driven through the service node end to end — negative
 //! paths (forged, replayed, mismeasured, truncated handshakes all fail
-//! closed), the equal-keys property over randomized drives, and the
-//! shard-count invariance of a large concurrent handshake wave.
+//! closed), the equal-keys property over randomized drives, the
+//! shard-count invariance of a large concurrent handshake wave, and the
+//! whole handshake's invariance across the simulator's execution rungs.
 
+use komodo::{Platform, PlatformConfig};
 use komodo_crypto::{
     device_attest_key, kdf, Digest, Quote, Verifier, VerifierSession, VerifyError,
 };
+use komodo_service::protocol::{Attested, AttestedStep, StepCtx};
 use komodo_service::{
-    drive_attested, AttestedClient, QuoteWords, Request, Response, Service, ServiceConfig,
-    ServiceError, ServiceHandle,
+    drive_attested, AttestedClient, Protocol, QuoteWords, Request, Response, Service,
+    ServiceConfig, ServiceError, ServiceHandle,
 };
 use komodo_spec::seed::derive_stream;
 use proptest::strategy::Strategy;
@@ -357,4 +360,88 @@ fn handshake_wave_is_shard_count_invariant() {
     assert_eq!(o1.failed, 0);
     assert_eq!(o1, o4, "attested outcome changed with shard count");
     assert_eq!(r1, r4, "per-request records changed with shard count");
+}
+
+/// What one rung observes of a whole attested session.
+#[derive(Debug, PartialEq)]
+struct RungRun {
+    quote: QuoteWords,
+    begin_cycles: u64,
+    confirm: Result<Response, ServiceError>,
+    sends: Vec<Result<Response, ServiceError>>,
+    cycles: u64,
+    retired: u64,
+}
+
+/// Boot → load → `Attested::begin` → confirm → two sends on a platform
+/// seeded `seed`, with the execution ladder set by `(accel, superblocks,
+/// uop traces)`; the traffic tags are checked against the verifier's
+/// key on the way.
+fn attested_session_on_rung(seed: u64, (accel, superblocks, uops): (bool, bool, bool)) -> RungRun {
+    let mut p = Platform::with_config(PlatformConfig::default().with_seed(seed));
+    p.machine.set_fetch_accel(accel);
+    p.machine.set_superblocks(superblocks);
+    p.machine.set_uop_traces(uops);
+    let e = p.load(&Attested::image()).expect("ra load");
+    let vs = VerifierSession::new([seed as u32, 2, 3, 4], 0x5eed, seed as u32);
+    let c0 = p.cycles();
+    let quote = Attested::begin(&mut p, &e, 0, &vs.nonce, vs.share).expect("begin");
+    let begin_cycles = p.cycles() - c0;
+    let measurement = AttestedClient::new(seed).measurement;
+    let est = Verifier::new(&device_attest_key(seed), measurement)
+        .check_quote(&vs, &to_quote(&quote))
+        .expect("genuine quote must verify");
+    let mut state = Attested::open(0);
+    let ctx = StepCtx {
+        session: 0,
+        now_req: 1,
+        handshake_ttl: u64::MAX,
+    };
+    let step = AttestedStep::Confirm { tag: est.confirm.0 };
+    let confirm = Attested::step(&mut state, &mut p, &e, step, &ctx).0;
+    let sends = (0..2u32)
+        .map(|seq| {
+            let payload = [seq ^ seed as u32; 8];
+            let r = Attested::step(&mut state, &mut p, &e, AttestedStep::Send { payload }, &ctx).0;
+            if let Ok(Response::AttestedTag { tag, .. }) = &r {
+                assert!(kdf::verify_app_tag(&est.key, seq, &payload, &Digest(*tag)));
+            }
+            r
+        })
+        .collect();
+    RungRun {
+        quote,
+        begin_cycles,
+        confirm,
+        sends,
+        cycles: p.cycles(),
+        retired: p.machine.metrics_snapshot().retired(),
+    }
+}
+
+/// The handshake in the four-way differential: for several platform
+/// seeds, the whole attested session run with micro-op regions,
+/// superblocks, the fetch accelerator only, and plain stepping yields
+/// identical quotes, confirm outcomes, traffic tags, cycle counts and
+/// retired-instruction totals.
+#[test]
+fn handshake_is_identical_at_every_rung() {
+    const RUNGS: [(bool, bool, bool); 4] = [
+        (true, true, true),
+        (true, true, false),
+        (true, false, false),
+        (false, false, false),
+    ];
+    for seed in [1u64, 0x5eed, 104_729] {
+        let [uop, sb, accel, base] = RUNGS.map(|r| attested_session_on_rung(seed, r));
+        assert_eq!(uop.confirm, Ok(Response::SessionEstablished), "seed {seed}");
+        assert!(
+            uop.sends.iter().all(|r| r.is_ok()),
+            "seed {seed}: {:?}",
+            uop.sends
+        );
+        assert_eq!(uop, base, "seed {seed}: uop rung diverged");
+        assert_eq!(sb, base, "seed {seed}: superblock rung diverged");
+        assert_eq!(accel, base, "seed {seed}: accel rung diverged");
+    }
 }
