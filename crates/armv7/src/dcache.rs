@@ -38,10 +38,11 @@
 //! On top of the decode cache sits a **superblock engine**: straight-line
 //! traces of predecoded `(insn, cond)` entries, formed at a hot fetch and
 //! ending at the first branch, PC-writing instruction, unhandled
-//! exception source, or page boundary. Single-register loads and stores
-//! are **memory-inclusive**: they ride inside the trace, executed through
-//! the software data-TLB ([`crate::dtlb::DataTlb`]) hit path, with any
-//! hazard stopping the block at an exactly-retired prefix. A trace is
+//! exception source, or page boundary. Loads and stores — single-register
+//! and load/store-multiple alike — are **memory-inclusive**: they ride
+//! inside the trace, executed through the software data-TLB
+//! ([`crate::dtlb::DataTlb`]) hit path, with any hazard stopping the
+//! block at an exactly-retired prefix. A trace is
 //! validated **once** at entry (`(VA page, world, TTBR0, generation,
 //! alignment)` — the same facts the per-instruction hot path re-checks
 //! every step) and then executed in a tight loop by `Machine::run_user`,
@@ -176,19 +177,22 @@ pub(crate) enum ExitKind {
 ///
 /// Admission rules (checked at build time, from the already-validated
 /// decode cache): the body holds instructions that cannot touch the PC —
-/// data-processing, multiply, `MOVW`/`MOVT`, `MRS`, and single-register
-/// loads/stores (decode maps any PC-involving form to [`Insn::Unknown`],
-/// which is never admitted). `LDM`/`STM`, `BX`, `SVC` and every
+/// data-processing, multiply, `MOVW`/`MOVT`, `MRS`, single-register
+/// loads/stores and load/store-multiples (decode maps any PC-involving
+/// form, `LDM`/`STM` with `PC` in the list included, to
+/// [`Insn::Unknown`], which is never admitted). `BX`, `SVC` and every
 /// privileged/undefined instruction terminate the trace *before*
 /// themselves; a direct `B`/`BL` terminates it *inclusively* (its target
 /// is static). ALU-class body instructions can neither fault nor write
 /// memory; loads/stores *can*, so the runner executes them only through
 /// the data-TLB hit path and otherwise stops the block at the retired
 /// prefix, falling back to exact per-instruction stepping (see
-/// `Machine::step_superblock`). A store that bumps the code generation
-/// retires and then stops the block the same way, so the generation
-/// validated at entry never moves under instructions executed from the
-/// trace.
+/// `Machine::step_superblock`). A load/store-multiple goes all or
+/// nothing: every word is vetted before any moves, so a hazard leaves
+/// the instruction wholly to the per-instruction path. A store that
+/// bumps the code generation retires and then stops the block the same
+/// way, so the generation validated at entry never moves under
+/// instructions executed from the trace.
 #[derive(Clone, Debug)]
 pub(crate) struct Block {
     /// Entry virtual address and the context it was built under; all
@@ -261,6 +265,14 @@ pub(crate) fn admit(insn: Insn, va: Addr) -> Admit {
         // alignment, access fault, watched-page store) — see
         // `Machine::step_superblock`.
         Insn::Ldr { .. } | Insn::Str { .. } => Admit::Body(cost::INSN + cost::MEM),
+        // Load/store-multiple (`PUSH`/`POP` included) rides along the same
+        // way, all-or-nothing: every word is vetted before any moves, and
+        // a hazard stops the block *at* the instruction so per-insn
+        // stepping replays it — see `lsm_transfer` in `crate::exec`. Its
+        // worst case is one `cost::MEM` per listed register.
+        Insn::Ldm { regs, .. } | Insn::Stm { regs, .. } => {
+            Admit::Body(cost::INSN + regs.count_ones() as u64 * cost::MEM)
+        }
         Insn::B { cond, offset } | Insn::Bl { cond, offset } => Admit::Branch {
             cond,
             target: va

@@ -20,8 +20,8 @@ use crate::mode::{Mode, World};
 use crate::psr::Psr;
 use crate::ptw::{self, PtwFault};
 use crate::regs::{Reg, RegFile};
-use crate::uop::{MemOff, Site, Src, Uop, UopEnd, UopTrace};
-use crate::word::{page_base, page_offset, Addr, Word, WORD_BYTES};
+use crate::uop::{Lsm, MemOff, Site, Src, Uop, UopEnd, UopTrace};
+use crate::word::{page_base, page_offset, word_aligned, Addr, Word, PAGE_SIZE, WORD_BYTES};
 
 /// Why user-mode execution stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -212,6 +212,9 @@ impl Machine {
     ///   state. A store that bumps the code generation (self-modifying
     ///   code through the data path) retires, then stops the block the
     ///   same way so no possibly-stale trace entry after it executes.
+    ///   A load/store-multiple of `n` words pays `n` TLB hits and
+    ///   `n * cost::MEM` through `lsm_transfer`, which vets every word
+    ///   before moving any, so its hazards stop the block *at* it.
     ///   A block stopping before retiring anything returns `None` so the
     ///   per-insn step guarantees progress (and refills the data-TLB).
     /// - **Regions**: a promoted block's micro-op region runs instead when
@@ -344,6 +347,23 @@ impl Machine {
                             // through the store, then reconcile
                             // per-instruction (the next dispatch sees the
                             // bumped generation and rebuilds).
+                            n_ret += 1;
+                            stopped = true;
+                            break;
+                        }
+                    }
+                    Insn::Ldm { .. } | Insn::Stm { .. } => {
+                        let m = Lsm::of(insn).expect("load/store-multiple");
+                        let mut r = regs.user_visible();
+                        let Some(words) = lsm_transfer(m, &mut r, world, ttbr0, mem, dtlb) else {
+                            stopped = true;
+                            break;
+                        };
+                        regs.set_user_visible(&r);
+                        data_hits += words;
+                        extra += words * cost::MEM;
+                        if !m.load && mem.code_gen() != gen_entry {
+                            // As for a single store above.
                             n_ret += 1;
                             stopped = true;
                             break;
@@ -801,6 +821,88 @@ fn uop_ea(r: &[Word; 15], base: u8, off: MemOff) -> Addr {
     }
 }
 
+/// Executes one load/store-multiple **all-or-nothing** over the flat
+/// user register array — the single helper behind both the superblock
+/// body loop and the micro-op runner. Returns the number of words moved,
+/// or `None` with nothing committed (registers, memory and counters
+/// untouched) so the caller stops *at* the instruction and per-insn
+/// stepping replays it, including any partial-store-then-abort.
+///
+/// Every word is vetted before any moves: an aligned start, a data-TLB
+/// hit carrying the access kind's verdict for each page the span touches
+/// (at most two — fifteen words never cover a page), and a RAM-backed,
+/// TrustZone-compatible frame for each page's share of the span. Those
+/// are exactly the facts under which the per-insn path's word-by-word
+/// `user_load`/`user_store` would each hit the TLB and succeed, so the
+/// caller's batched accounting (`n` TLB hits, `n * cost::MEM`, and the
+/// `n` reads or writes `PhysMem` counts itself) stays exact. Words move
+/// in ascending register order; a load with the base in the list leaves
+/// the loaded value there, and a store stores the original base, both as
+/// `Machine::execute` does (decode rejects base-in-list writeback).
+#[inline]
+fn lsm_transfer(
+    m: Lsm,
+    r: &mut [Word; 15],
+    world: World,
+    ttbr0: Addr,
+    mem: &mut PhysMem,
+    dtlb: &mut DataTlb,
+) -> Option<u64> {
+    let n = m.list.count_ones();
+    let base = r[m.rn as usize];
+    let start = if m.db {
+        base.wrapping_sub(n * WORD_BYTES)
+    } else {
+        base
+    };
+    if !word_aligned(start) {
+        return None;
+    }
+    let write = !m.load;
+    // Words on the first page; the rest (if any) continue on the next.
+    let first = ((PAGE_SIZE - page_offset(start)) / WORD_BYTES).min(n);
+    let (pa0, at0) = dtlb.lookup_data(start, world, ttbr0, write)?;
+    if !mem.span_accessible(pa0, first, at0) {
+        return None;
+    }
+    let (pa1, at1) = if first < n {
+        let va1 = start.wrapping_add(first * WORD_BYTES);
+        let (pa1, at1) = dtlb.lookup_data(va1, world, ttbr0, write)?;
+        if !mem.span_accessible(pa1, n - first, at1) {
+            return None;
+        }
+        (pa1, at1)
+    } else {
+        (pa0, at0)
+    };
+    // Every word vetted: commit.
+    let mut k = 0u32;
+    for (i, reg) in r.iter_mut().enumerate() {
+        if m.list & (1 << i) == 0 {
+            continue;
+        }
+        let (pa, attrs) = if k < first {
+            (pa0 + k * WORD_BYTES, at0)
+        } else {
+            (pa1 + (k - first) * WORD_BYTES, at1)
+        };
+        if m.load {
+            *reg = mem.read(pa, attrs).expect("span vetted");
+        } else {
+            mem.write(pa, *reg, attrs).expect("span vetted");
+        }
+        k += 1;
+    }
+    if m.writeback {
+        r[m.rn as usize] = if m.db {
+            start
+        } else {
+            base.wrapping_add(n * WORD_BYTES)
+        };
+    }
+    Some(n as u64)
+}
+
 /// The per-site inlined data-TLB probe: one compare against the site's
 /// cached VA page, refilled from the real data-TLB on mismatch. A site
 /// hit replays exactly what `DataTlb::lookup_data` would return — the
@@ -1066,6 +1168,20 @@ fn run_uop_trace(
                     if mem.code_gen() != gen_entry {
                         // Self-modifying store: retire it, then stop so no
                         // possibly-stale micro-op after it executes.
+                        n_ret += 1;
+                        stop = Some(at(i + 1));
+                        break;
+                    }
+                }
+                Uop::Multi(m) => {
+                    let Some(words) = lsm_transfer(m, &mut r, world, ttbr0, mem, dtlb) else {
+                        stop = Some(at(i));
+                        break;
+                    };
+                    data_hits += words;
+                    extra += words * cost::MEM;
+                    if !m.load && mem.code_gen() != gen_entry {
+                        // As for a single store above.
                         n_ret += 1;
                         stop = Some(at(i + 1));
                         break;

@@ -209,6 +209,24 @@ impl PhysMem {
         Ok(())
     }
 
+    /// Whether `words` consecutive word accesses starting at `addr` with
+    /// bus attributes `attrs` would all succeed: `addr` aligned, the whole
+    /// span inside one RAM region, and the region's TrustZone partition
+    /// admitting `attrs`. Side-effect free (no counters move), so the
+    /// multi-word fast path can vet every word before committing any.
+    pub(crate) fn span_accessible(&self, addr: Addr, words: u32, attrs: AccessAttrs) -> bool {
+        if !word_aligned(addr) || words == 0 {
+            return false;
+        }
+        let Some(last) = addr.checked_add((words - 1) * WORD_BYTES) else {
+            return false;
+        };
+        match self.region_for(addr) {
+            Some(r) => r.contains(last) && (!r.secure || attrs.secure),
+            None => false,
+        }
+    }
+
     /// Records `n` word reads in one batch — the superblock runner's
     /// accounting for the instruction fetches its trace replays, each of
     /// which the uncached path would have performed as a counted
@@ -423,6 +441,31 @@ mod tests {
         assert_eq!(m.peek(0x1002), None, "unaligned");
         assert_eq!(m.peek(0x4000_0000), None, "unmapped");
         assert_eq!((m.reads, m.writes), (r0, w0), "peek must not count");
+    }
+
+    #[test]
+    fn span_accessible_vets_every_word_without_counting() {
+        let mut m = PhysMem::new();
+        m.add_region(0x1000, 0x1000, false);
+        m.add_region(0x2000, 0x1000, true);
+        let ok = |m: &PhysMem, a, n, attrs| m.span_accessible(a, n, attrs);
+        assert!(
+            ok(&m, 0x1ff0, 4, AccessAttrs::NORMAL),
+            "ends on the last word"
+        );
+        assert!(
+            !ok(&m, 0x1ff4, 4, AccessAttrs::MONITOR),
+            "runs into the next region"
+        );
+        assert!(!ok(&m, 0x1ff2, 1, AccessAttrs::NORMAL), "unaligned");
+        assert!(
+            !ok(&m, 0x2000, 1, AccessAttrs::NORMAL),
+            "secure frame, non-secure access"
+        );
+        assert!(ok(&m, 0x2000, 15, AccessAttrs::ENCLAVE));
+        assert!(!ok(&m, 0x3ffc, 2, AccessAttrs::MONITOR), "runs off RAM");
+        assert!(!ok(&m, 0xffff_fffc, 2, AccessAttrs::MONITOR), "wraps");
+        assert_eq!((m.reads, m.writes), (0, 0), "vetting must not count");
     }
 
     #[test]

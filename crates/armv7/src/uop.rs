@@ -35,12 +35,12 @@
 //!   write is overwritten before any in-trace consumer (condition
 //!   field, `ADC`/`SBC`/`RSC` carry-in, `MRS`) compiles to its
 //!   flags-free value form; a compare whose flags die compiles to a
-//!   retire-only `Uop::Nop`. Every memory access and the trace exit
-//!   are *observation points*: a hazard can stop the trace right before
-//!   a load/store (and the exit publishes `CPSR` architecturally), so
-//!   liveness is forced to "all flags" across them — the committed
-//!   `CPSR` at every possible stop point is exactly the per-instruction
-//!   machine's. Liveness runs over the region's control-flow graph: at
+//!   retire-only `Uop::Nop`. Every memory access (single or multiple)
+//!   and the trace exit are *observation points*: a hazard can stop the
+//!   trace right before a load/store (and the exit publishes `CPSR`
+//!   architecturally), so liveness is forced to "all flags" across
+//!   them — the committed `CPSR` at every possible stop point is
+//!   exactly the per-instruction machine's. Liveness runs over the region's control-flow graph: at
 //!   an internal branch the live-out is the union of both successors,
 //!   and a side exit, like the final exit, observes every flag.
 //! - **Compare+branch fusion**: a trace ending `<flag-setting ALU>; B<c>`
@@ -59,6 +59,16 @@
 //!   their blocks) — so a surviving site entry provably replays what
 //!   the exact path would compute, and accounting one TLB hit per
 //!   access remains exact.
+//! - **Load/store-multiple** (`LDM`/`STM`, `PUSH`/`POP`) lowers to one
+//!   [`Uop::Multi`] with the register list, direction and writeback
+//!   pre-resolved. It runs through the same all-or-nothing helper as
+//!   the superblock body loop (`lsm_transfer` in [`crate::exec`]): every
+//!   word is vetted against the data-TLB and the physical frame before
+//!   any moves, so a hazard stops the pass *at* the instruction and the
+//!   per-instruction step replays it whole. Its registers also drop out
+//!   of the `MOVW`/`MOVT` constant tracking. This is what lets SHA-256's
+//!   round loop, which spills through `PUSH`/`POP` mid-body, run as one
+//!   self-chaining region.
 //!
 //! The runner (`Machine::step_superblock` in [`crate::exec`]) executes
 //! specialised regions over a flat copy of the fifteen user-visible
@@ -71,7 +81,7 @@
 use core::cell::Cell;
 
 use crate::dcache::{admit, Admit};
-use crate::insn::{Cond, DpOp, Insn, MemOffset, Op2, Shift};
+use crate::insn::{Cond, DpOp, Insn, LsmMode, MemOffset, Op2, Shift};
 use crate::machine::cost;
 use crate::mem::AccessAttrs;
 use crate::word::{Addr, Word, WORD_BYTES};
@@ -195,6 +205,60 @@ pub(crate) enum MemOff {
     RegNeg(u8),
 }
 
+/// A pre-resolved load/store-multiple (`LDM`/`STM`, the `PUSH`/`POP`
+/// forms included). The superblock body loop and the micro-op runner
+/// both execute it through one all-or-nothing transfer helper
+/// (`lsm_transfer` in [`crate::exec`]), so the two tiers cannot drift.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Lsm {
+    /// `LDM` (else `STM`).
+    pub(crate) load: bool,
+    /// Base register index.
+    pub(crate) rn: u8,
+    /// Register list (bit `i` = `R<i>`; bit 15 never set).
+    pub(crate) list: u16,
+    /// Decrement-before (`DB`, as `PUSH`), else increment-after (`IA`).
+    pub(crate) db: bool,
+    /// Write the final address back to the base.
+    pub(crate) writeback: bool,
+}
+
+impl Lsm {
+    /// The transfer an `LDM`/`STM` performs; `None` for anything else.
+    pub(crate) fn of(insn: Insn) -> Option<Lsm> {
+        let (load, rn, writeback, regs, mode) = match insn {
+            Insn::Ldm {
+                rn,
+                writeback,
+                regs,
+                mode,
+                ..
+            } => (true, rn, writeback, regs, mode),
+            Insn::Stm {
+                rn,
+                writeback,
+                regs,
+                mode,
+                ..
+            } => (false, rn, writeback, regs, mode),
+            _ => return None,
+        };
+        Some(Lsm {
+            load,
+            rn: rn.index(),
+            list: regs,
+            db: mode == LsmMode::Db,
+            writeback,
+        })
+    }
+
+    /// Registers the transfer writes: the list for a load, plus the base
+    /// under writeback.
+    fn writes(self) -> u16 {
+        (if self.load { self.list } else { 0 }) | ((self.writeback as u16) << self.rn)
+    }
+}
+
 /// One micro-op. Register fields are pre-resolved user-bank indices
 /// (0..=14) into the runner's flat register array.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -265,6 +329,8 @@ pub(crate) enum Uop {
         byte: bool,
         site: u16,
     },
+    /// Load/store-multiple through the shared all-or-nothing helper.
+    Multi(Lsm),
     /// A conditional forward branch to an instruction inside the region:
     /// taken, execution continues at body index `to` (index `body.len()`
     /// is the region's exit) and `cost::BRANCH_TAKEN` is charged.
@@ -378,7 +444,10 @@ fn flag_liveness(nodes: &[Node]) -> Vec<bool> {
         live_in[i] = match *node {
             // A hazard can stop the pass right before this access: the
             // committed CPSR at that point must already be exact.
-            Node::Body(Insn::Ldr { .. } | Insn::Str { .. }, _) => FLAG_ALL,
+            Node::Body(
+                Insn::Ldr { .. } | Insn::Str { .. } | Insn::Ldm { .. } | Insn::Stm { .. },
+                _,
+            ) => FLAG_ALL,
             Node::Body(insn, cond) => {
                 let w = flag_writes(&insn);
                 if w != 0 {
@@ -651,12 +720,23 @@ pub(crate) fn specialise(entry_va: Addr, code: impl IntoIterator<Item = (Insn, C
                     }
                 }
             }
+            Insn::Ldm { .. } | Insn::Stm { .. } => {
+                Uop::Multi(Lsm::of(insn).expect("load/store-multiple"))
+            }
             // The admission rules let nothing else into a body.
             _ => unreachable!("region admitted an unspecialisable instruction"),
         };
         // Update the constant-tracking state from the *emitted* uop.
         match uop {
             Uop::MovConst { rd, imm } if cond == Cond::Al => known[rd as usize] = Some(imm),
+            Uop::Multi(m) => {
+                let writes = m.writes();
+                for (k, slot) in known.iter_mut().enumerate() {
+                    if writes & (1 << k) != 0 {
+                        *slot = None;
+                    }
+                }
+            }
             _ => {
                 if let Some(rd) = uop_dest(&uop) {
                     known[rd as usize] = None;
@@ -707,8 +787,9 @@ pub(crate) fn specialise(entry_va: Addr, code: impl IntoIterator<Item = (Insn, C
     }
 }
 
-/// The register a uop writes, if any (used only for build-time constant
-/// tracking).
+/// The single register a uop writes, if any (used only for build-time
+/// constant tracking; `Uop::Multi` reports its write set through
+/// `Lsm::writes` instead).
 fn uop_dest(u: &Uop) -> Option<u8> {
     match *u {
         Uop::AddImm { rd, .. }
@@ -733,6 +814,7 @@ fn uop_dest(u: &Uop) -> Option<u8> {
         | Uop::CmpReg { .. }
         | Uop::TstImm { .. }
         | Uop::Store { .. }
+        | Uop::Multi(_)
         | Uop::Jump { .. }
         | Uop::SideExit { .. } => None,
     }
@@ -1173,6 +1255,76 @@ mod tests {
         ]);
         assert_eq!(
             t.body[3].op,
+            Uop::InsTop {
+                rd: 8,
+                hi: 0x1234_0000
+            }
+        );
+    }
+
+    fn pop(regs: u16) -> (Insn, Cond) {
+        (
+            Insn::Ldm {
+                cond: Cond::Al,
+                rn: Reg::Sp,
+                writeback: true,
+                regs,
+                mode: LsmMode::Ia,
+            },
+            Cond::Al,
+        )
+    }
+
+    #[test]
+    fn load_store_multiple_rides_inside_the_region() {
+        // adds r0,r0,#1 ; pop {r3} ; cmp r1,#0 — the pop is a stop point,
+        // so the adds' flags stay exact although the cmp kills them; the
+        // region's worst case charges one `cost::MEM` per listed word.
+        let t = spec(vec![
+            dp(DpOp::Add, true, 0, 0, Op2::imm(1)),
+            pop(1 << 3),
+            dp(DpOp::Cmp, true, 0, 1, Op2::imm(0)),
+        ]);
+        assert!(matches!(t.body[0].op, Uop::AluFlags { op: DpOp::Add, .. }));
+        assert_eq!(
+            t.body[1].op,
+            Uop::Multi(Lsm {
+                load: true,
+                rn: 13,
+                list: 1 << 3,
+                db: false,
+                writeback: true,
+            })
+        );
+        assert_eq!(t.steps, 3);
+        assert_eq!(t.max_charge, 3 * cost::INSN + cost::MEM);
+    }
+
+    #[test]
+    fn load_multiple_kills_known_constants_it_writes() {
+        // movw r8,#0x9000 ; pop {r8} ; movt r8,#0x1234 — the pop writes
+        // r8, so the movt must not fold the stale low half.
+        let t = spec(vec![
+            (
+                Insn::Movw {
+                    cond: Cond::Al,
+                    rd: Reg::R(8),
+                    imm16: 0x9000,
+                },
+                Cond::Al,
+            ),
+            pop(1 << 8),
+            (
+                Insn::Movt {
+                    cond: Cond::Al,
+                    rd: Reg::R(8),
+                    imm16: 0x1234,
+                },
+                Cond::Al,
+            ),
+        ]);
+        assert_eq!(
+            t.body[2].op,
             Uop::InsTop {
                 rd: 8,
                 hi: 0x1234_0000

@@ -15,13 +15,13 @@
 //!   per-tier retirement counters always sum to the same instruction
 //!   count.
 
-use komodo_armv7::insn::{Cond, DpOp, MemOffset, Op2, Shift};
+use komodo_armv7::insn::{Cond, DpOp, LsmMode, MemOffset, Op2, Shift};
 use komodo_armv7::mem::AccessAttrs;
 use komodo_armv7::mode::{Mode, World};
 use komodo_armv7::psr::Psr;
 use komodo_armv7::ptw::{l1_coarse_desc, l2_page_desc, PagePerms};
 use komodo_armv7::regs::Reg;
-use komodo_armv7::{Assembler, ExitReason, Insn, Machine};
+use komodo_armv7::{Assembler, ExitReason, Insn, Machine, MemFault, MemFaultKind};
 use proptest::prelude::*;
 
 const CODE_VA: u32 = 0x8000;
@@ -188,12 +188,75 @@ fn arb_mem() -> impl Strategy<Value = Insn> {
         })
 }
 
+/// Load/store-multiple in every decodable shape: `LDMIA`/`STMDB` (so
+/// `POP`/`PUSH` when the base is `SP`) and `LDMDB`/`STMIA`, with one to
+/// fifteen registers, with and without writeback — the base in the list
+/// only without it (decode rejects the other form). Bases are `SP` (a
+/// stack in the data page), `R8`/`R9` (data pages), `R10` (wild) and
+/// `R11` (an edge pointer, see [`arb_edge`]), so transfers hit the
+/// data-TLB, miss it, straddle pages, and abort part-way.
+fn arb_lsm() -> impl Strategy<Value = Insn> {
+    (
+        any::<bool>(), // load vs store
+        any::<bool>(), // increment-after vs decrement-before
+        prop_oneof![
+            Just(Reg::Sp),
+            Just(Reg::Sp),
+            Just(Reg::R(8)),
+            Just(Reg::R(9)),
+            Just(Reg::R(10)),
+            Just(Reg::R(11)),
+            Just(Reg::R(11))
+        ],
+        // Single registers (the `PUSH {r3}` shape) as often as lists.
+        prop_oneof![(0u16..15).prop_map(|r| 1 << r), 1u16..0x8000],
+        any::<bool>(), // writeback
+    )
+        .prop_map(|(load, ia, rn, regs, writeback)| {
+            let writeback = writeback && regs & (1 << rn.index()) == 0;
+            let mode = if ia { LsmMode::Ia } else { LsmMode::Db };
+            if load {
+                Insn::Ldm {
+                    cond: Cond::Al,
+                    rn,
+                    writeback,
+                    regs,
+                    mode,
+                }
+            } else {
+                Insn::Stm {
+                    cond: Cond::Al,
+                    rn,
+                    writeback,
+                    regs,
+                    mode,
+                }
+            }
+        })
+}
+
+/// An edge pointer for `R11`: just above the read-only code page's end
+/// (descending transfers straddle into it) or just below `top`, the
+/// first unmapped page (ascending transfers straddle into it) — aligned
+/// most of the time, unaligned otherwise.
+fn arb_edge(top: u32) -> impl Strategy<Value = u32> {
+    (any::<bool>(), 0u32..8, 0u32..8).prop_map(move |(low, k, mis)| {
+        let mis = mis.saturating_sub(4);
+        if low {
+            DATA_VA + 4 * k + mis
+        } else {
+            top - 4 * k + mis
+        }
+    })
+}
+
 /// A mix biased toward memory traffic, so generated programs form
 /// memory-inclusive superblocks rather than pure ALU traces.
 fn arb_mem_or_dp() -> impl Strategy<Value = Insn> {
     prop_oneof![
         arb_mem().boxed(),
         arb_mem().boxed(),
+        arb_lsm().boxed(),
         arb_dp().boxed(),
         arb_dp().boxed(),
         arb_dp().boxed()
@@ -290,6 +353,22 @@ fn spare_r7(insn: Insn) -> Insn {
             off,
             byte,
         },
+        Insn::Ldm {
+            cond,
+            rn,
+            writeback,
+            regs,
+            mode,
+        } => Insn::Ldm {
+            cond,
+            rn,
+            writeback,
+            regs: match regs & !(1 << 7) {
+                0 => 1 << 6,
+                r => r,
+            },
+            mode,
+        },
         other => other,
     }
 }
@@ -310,6 +389,7 @@ fn arb_item() -> impl Strategy<Value = Item> {
         arb_flag_dp().prop_map(Item::Op).boxed(),
         arb_flag_dp().prop_map(Item::Op).boxed(),
         arb_mem().prop_map(|i| Item::Op(spare_r7(i))).boxed(),
+        arb_lsm().prop_map(|i| Item::Op(spare_r7(i))).boxed(),
         (arb_cond(), 0usize..5)
             .prop_map(|(cond, dist)| Item::Skip { cond, dist })
             .boxed(),
@@ -672,16 +752,17 @@ proptest! {
 
     /// Four-way invisibility on *memory-heavy* programs: random mixes of
     /// single-register loads/stores (word and byte, immediate and
-    /// register offsets, both directions) and ALU work, with bases that
-    /// range from well-mapped data pages to wild pointers — so in-block
-    /// data-TLB hits, misses, permission refusals and data aborts are all
-    /// exercised, under interrupt preemption, with full machine equality
+    /// register offsets, both directions), load/store-multiples and ALU
+    /// work, with bases that range from well-mapped data pages to wild
+    /// and page-straddling pointers — so in-block data-TLB hits, misses,
+    /// permission refusals and (partial) data aborts are all exercised, under interrupt preemption, with full machine equality
     /// (registers, cycles, TLB and memory statistics) asserted.
     #[test]
     fn prop_data_fast_path_is_architecturally_invisible(
         insns in proptest::collection::vec(arb_mem_or_dp(), 1..48),
         init in proptest::array::uniform8(any::<u32>()),
         wild in any::<u32>(),
+        edge in arb_edge(DATA_VA + 0x1000),
         irq_after in 0u64..500,
     ) {
         let mut a = Assembler::new(CODE_VA);
@@ -702,6 +783,8 @@ proptest! {
             m.regs.set(Mode::User, Reg::R(8), DATA_VA);
             m.regs.set(Mode::User, Reg::R(9), DATA_VA + 0x800);
             m.regs.set(Mode::User, Reg::R(10), wild);
+            m.regs.set(Mode::User, Reg::R(11), edge);
+            m.regs.set(Mode::User, Reg::Sp, DATA_VA + 0x800);
             if irq_after > 0 {
                 m.irq_at = Some(m.cycles + irq_after);
             }
@@ -908,7 +991,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Region exactness on branchy loops: random loop bodies mixing ALU
-    /// ops, flag setters and consumers, loads and stores with conditional
+    /// ops, flag setters and consumers, loads and stores (single and
+    /// multiple) with conditional
     /// forward branches (internal jumps, jumps onto the back edge, and
     /// side exits out of the loop), run with promotion forced at every
     /// rung under random interrupt deadlines and step budgets. Each run
@@ -921,6 +1005,7 @@ proptest! {
         init in proptest::array::uniform8(any::<u32>()),
         trips in 1u32..12,
         wild in any::<u32>(),
+        edge in arb_edge(DATA_VA + 0x4000),
         irq_after in 0u64..1500,
         budget in 1u64..400,
     ) {
@@ -938,6 +1023,8 @@ proptest! {
             m.regs.set(Mode::User, Reg::R(8), DATA_VA);
             m.regs.set(Mode::User, Reg::R(9), DATA_VA + 0x800);
             m.regs.set(Mode::User, Reg::R(10), wild);
+            m.regs.set(Mode::User, Reg::R(11), edge);
+            m.regs.set(Mode::User, Reg::Sp, DATA_VA + 0x800);
             if irq_after > 0 {
                 m.irq_at = Some(m.cycles + irq_after);
             }
@@ -1159,6 +1246,187 @@ fn region_side_exit_publishes_every_flag() {
         "left through the side exit"
     );
     assert!(m.superblock_stats().uop_promoted >= 1);
+}
+
+/// `STMIA r, {..}` emitted at a code index.
+fn stmia(rn: Reg, regs: u16, writeback: bool) -> Insn {
+    Insn::Stm {
+        cond: Cond::Al,
+        rn,
+        writeback,
+        regs,
+        mode: LsmMode::Ia,
+    }
+}
+
+/// An `STM` that straddles from the last data page into a read-only
+/// page on a promoted region's fifth pass: the fast path must commit
+/// nothing, stopping *at* the `STM`, and the per-instruction step then
+/// stores the words below the page boundary and aborts on the first one
+/// past it — exactly as stepping from the start would.
+#[test]
+fn region_stm_straddling_into_a_readonly_page_commits_nothing() {
+    let mut a = Assembler::new(CODE_VA);
+    a.add_imm(Reg::R(0), Reg::R(0), 1); // 0
+    a.add_imm(Reg::R(1), Reg::R(1), 2); // 1
+    a.emit(stmia(Reg::R(11), 0b1111, true)); // 2: 16 bytes per pass.
+    a.subs_imm(Reg::R(7), Reg::R(7), 1); // 3
+    a.emit(b_at(Cond::Ne, 4, 0)); // 4
+    a.svc(0);
+    // The fifth pass stores r0, r1 at 0xcff8/0xcffc and faults at 0xd000.
+    let start = 0xd000 - 16 * 4 - 8;
+    let setup = |m: &mut Machine| {
+        m.mem
+            .write(
+                0x8000_1000 + 13 * 4,
+                l2_page_desc(0x8000_7000, PagePerms::R, false),
+                AccessAttrs::MONITOR,
+            )
+            .unwrap();
+        m.regs.set(Mode::User, Reg::R(7), 20);
+        m.regs.set(Mode::User, Reg::R(11), start);
+    };
+    let (m, exit) = sweep_rungs(&a.words(), PagePerms::RX, 1..=40, setup);
+    assert_eq!(
+        exit,
+        ExitReason::DataAbort(MemFault::new(0xd000, MemFaultKind::Permission, true))
+    );
+    // VA 0xc000 is PA 0x8000_6000: the two words below the boundary are
+    // stored, nothing past it, and the base is not written back.
+    assert_eq!(m.mem.peek(0x8000_6ff8), Some(5));
+    assert_eq!(m.mem.peek(0x8000_6ffc), Some(10));
+    assert_eq!(m.mem.peek(0x8000_7000), Some(0));
+    assert_eq!(m.regs.get(Mode::User, Reg::R(11)), 0xcff8);
+    let s = m.superblock_stats();
+    assert!(s.uop_promoted >= 1, "loop never promoted: {s:?}");
+    assert!(s.retired_uop > 0, "no pass ran in a region: {s:?}");
+}
+
+/// An `STM` inside a region that writes the region's own code page: it
+/// retires, the pass stops, and the patched instruction later in the
+/// same pass takes effect at once — the multi-word twin of
+/// [`region_self_modifying_store_stops_after_retiring`].
+#[test]
+fn region_stm_into_its_own_code_page_stops_after_retiring() {
+    let mut a = Assembler::new(CODE_VA);
+    a.cmp_imm(Reg::R(7), 2); // 0
+    a.emit(b_at(Cond::Ne, 1, 3)); // 1: store only on the pass with r7 == 2.
+    a.emit(stmia(Reg::R(9), 0b11_0000, false)); // 2: patch indices 4 and 5.
+    a.add_imm(Reg::R(1), Reg::R(1), 1); // 3
+    a.add_imm(Reg::R(3), Reg::R(3), 1); // 4: becomes `add r3, r3, #2`.
+    a.subs_imm(Reg::R(7), Reg::R(7), 1); // 5: rewritten with itself.
+    a.emit(b_at(Cond::Ne, 6, 0));
+    a.svc(0);
+    let code = a.words();
+    let mut patch = Assembler::new(CODE_VA);
+    patch.add_imm(Reg::R(3), Reg::R(3), 2);
+    let patch_word = patch.words()[0];
+    let setup = |m: &mut Machine| {
+        m.regs.set(Mode::User, Reg::R(7), 6);
+        m.regs.set(Mode::User, Reg::R(9), CODE_VA + 4 * 4);
+        m.regs.set(Mode::User, Reg::R(4), patch_word);
+        m.regs.set(Mode::User, Reg::R(5), code[5]);
+    };
+    let (m, exit) = sweep_rungs(&code, PagePerms::RWX, 1..=60, setup);
+    assert_eq!(exit, ExitReason::Svc { imm24: 0 });
+    // Passes with r7 = 6, 5, 4, 3 add 1; the patching pass and the last
+    // add 2.
+    assert_eq!(m.regs.get(Mode::Supervisor, Reg::R(3)), 4 + 2 * 2);
+    let s = m.superblock_stats();
+    assert!(s.uop_promoted >= 1, "loop never promoted: {s:?}");
+    assert!(
+        s.uop_invalidations >= 1,
+        "patch never dropped a region: {s:?}"
+    );
+}
+
+/// An interrupt deadline falling inside a region whose worst case is
+/// dominated by `PUSH`/`POP` words (`n * cost::MEM` each): the
+/// wake-hoisting guard must count every word, so the IRQ fires at the
+/// exact per-instruction cycle. Swept across every deadline of the run.
+#[test]
+fn region_irq_deadline_inside_push_pop_is_exact() {
+    let mut a = Assembler::new(CODE_VA);
+    a.add_imm(Reg::R(0), Reg::R(0), 1);
+    a.push(&[
+        Reg::R(0),
+        Reg::R(1),
+        Reg::R(2),
+        Reg::R(3),
+        Reg::R(4),
+        Reg::R(5),
+    ]);
+    a.eor_reg(Reg::R(1), Reg::R(1), Reg::R(0));
+    a.pop(&[
+        Reg::R(0),
+        Reg::R(1),
+        Reg::R(2),
+        Reg::R(3),
+        Reg::R(4),
+        Reg::R(5),
+    ]);
+    a.add_reg(Reg::R(8), Reg::R(8), Reg::R(0));
+    a.subs_imm(Reg::R(7), Reg::R(7), 1);
+    a.emit(b_at(Cond::Ne, 6, 0));
+    a.svc(0);
+    let code = a.words();
+    let mut irqs = 0;
+    for deadline in 1..=330u64 {
+        let setup = |m: &mut Machine| {
+            m.regs.set(Mode::User, Reg::R(7), 10);
+            m.regs.set(Mode::User, Reg::Sp, DATA_VA + 0x800);
+            m.irq_at = Some(m.cycles + deadline);
+        };
+        let (m, exit) = sweep_rungs(&code, PagePerms::RX, [10_000], setup);
+        match exit {
+            ExitReason::Irq => {
+                irqs += 1;
+                assert_eq!(m.cpsr.mode, Mode::Irq, "deadline {deadline}");
+            }
+            ExitReason::Svc { imm24: 0 } => {}
+            other => panic!("deadline {deadline}: unexpected exit {other:?}"),
+        }
+    }
+    assert!(
+        irqs > 300,
+        "the sweep must land inside the run: {irqs} IRQs"
+    );
+}
+
+/// A step budget that runs out just before, on, or just after an `LDM`
+/// in a promoted region — every budget of the run — stops all four
+/// rungs at the same instruction with the same state.
+#[test]
+fn region_budget_around_an_ldm_is_exact() {
+    let mut a = Assembler::new(CODE_VA);
+    a.add_imm(Reg::R(0), Reg::R(0), 1); // 0
+    a.emit(Insn::Ldm {
+        cond: Cond::Al,
+        rn: Reg::R(8),
+        writeback: false,
+        regs: 0b1_1110,
+        mode: LsmMode::Ia,
+    }); // 1: r1..r4 from the data page.
+    a.add_reg(Reg::R(5), Reg::R(5), Reg::R(1)); // 2
+    a.emit(stmia(Reg::R(9), 0b10_0001, true)); // 3: r0, r5 out, r9 += 8.
+    a.subs_imm(Reg::R(7), Reg::R(7), 1); // 4
+    a.emit(b_at(Cond::Ne, 5, 0)); // 5
+    a.svc(0);
+    let setup = |m: &mut Machine| {
+        for i in 0..4 {
+            m.mem
+                .write(0x8000_3000 + 4 * i, 0x1111 * (i + 1), AccessAttrs::MONITOR)
+                .unwrap();
+        }
+        m.regs.set(Mode::User, Reg::R(7), 10);
+        m.regs.set(Mode::User, Reg::R(8), DATA_VA);
+        m.regs.set(Mode::User, Reg::R(9), DATA_VA + 0x800);
+    };
+    let (m, exit) = sweep_rungs(&a.words(), PagePerms::RX, 1..=62, setup);
+    assert_eq!(exit, ExitReason::Svc { imm24: 0 });
+    assert_eq!(m.regs.get(Mode::Supervisor, Reg::R(5)), 10 * 0x1111);
+    assert_eq!(m.regs.get(Mode::Supervisor, Reg::R(4)), 0x4444);
+    assert!(m.superblock_stats().retired_uop > 0);
 }
 
 /// FIQ takes priority over IRQ and lands in FIQ mode with its own bank.

@@ -23,6 +23,7 @@ use komodo_armv7::regs::Reg;
 use komodo_armv7::{Assembler, Cond, ExitReason, Insn, Machine, Op2, Word};
 use komodo_crypto::schnorr::P;
 use komodo_guest::math64::emit_math64;
+use komodo_guest::sha::{emit_sha256, k_table_words};
 use komodo_guest::user::{CODE_VA, DATA_VA};
 use komodo_trace::MetricsSnapshot;
 use std::time::Instant;
@@ -175,6 +176,41 @@ pub fn modmul_loop() -> Vec<Word> {
     a.words()
 }
 
+/// SHA-256 loop: Figure 5's notary kernel. The guest `compress`
+/// (`komodo_guest::sha`) runs back to back over a block that aliases its
+/// own message schedule, so each call hashes the schedule the previous
+/// call expanded. One call is a 48-pass schedule loop and a 64-pass
+/// round loop whose body spills through `PUSH`/`POP` — load/store-
+/// multiple inside a loop region, the shape the notarization spends its
+/// time in. The round constants are stored into the first data page by
+/// the prologue (the sandbox maps no read-only table page).
+pub fn sha256_loop() -> Vec<Word> {
+    const K_VA: u32 = DATA_VA;
+    const W_VA: u32 = DATA_VA + 0x100;
+    const STATE_VA: u32 = DATA_VA + 0x200;
+    const STACK_TOP: u32 = DATA_VA + 0x1000;
+    let mut a = Assembler::new(CODE_VA);
+    let over = a.b_fixup(Cond::Al);
+    let sha = emit_sha256(&mut a, K_VA);
+    let main = a.here();
+    a.fix_branch(over, main);
+    a.mov_imm32(Reg::R(8), K_VA);
+    for (i, k) in k_table_words().into_iter().enumerate() {
+        a.mov_imm32(Reg::R(0), k);
+        a.str_imm(Reg::R(0), Reg::R(8), (i * 4) as u16);
+    }
+    a.mov_imm32(Reg::Sp, STACK_TOP);
+    a.mov_imm32(Reg::R(2), STATE_VA);
+    a.bl_to(Cond::Al, sha.init);
+    let top = a.label();
+    a.mov_imm32(Reg::R(0), W_VA);
+    a.mov_imm32(Reg::R(1), W_VA);
+    a.mov_imm32(Reg::R(2), STATE_VA);
+    a.bl_to(Cond::Al, sha.compress);
+    a.b_to(Cond::Al, top);
+    a.words()
+}
+
 /// The named workloads measured by the throughput bench and the
 /// `evolution` experiment binary.
 pub fn workloads() -> Vec<(&'static str, Vec<Word>)> {
@@ -186,6 +222,7 @@ pub fn workloads() -> Vec<(&'static str, Vec<Word>)> {
         ("strided_copy", strided_copy()),
         ("hot_mixed", hot_mixed()),
         ("modmul_loop", modmul_loop()),
+        ("sha256_loop", sha256_loop()),
     ]
 }
 
@@ -496,7 +533,7 @@ mod tests {
             );
             if matches!(
                 name,
-                "memory_loop" | "store_loop" | "strided_copy" | "hot_mixed"
+                "memory_loop" | "store_loop" | "strided_copy" | "hot_mixed" | "sha256_loop"
             ) {
                 assert!(
                     t.metrics.dtlb_hits > 0,

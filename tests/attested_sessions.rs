@@ -3,18 +3,22 @@
 //! paths (forged, replayed, mismeasured, truncated handshakes all fail
 //! closed), the equal-keys property over randomized drives, the
 //! shard-count invariance of a large concurrent handshake wave, and the
-//! whole handshake's invariance across the simulator's execution rungs.
+//! invariance of the whole handshake — and of the notary that signs
+//! attestations — across the simulator's execution rungs.
 
-use komodo::{Platform, PlatformConfig};
+use komodo::{measure_image, Platform, PlatformConfig};
 use komodo_crypto::{
     device_attest_key, kdf, Digest, Quote, Verifier, VerifierSession, VerifyError,
 };
+use komodo_guest::notary::{notarised_digest, notary_image};
+use komodo_os::EnclaveRun;
 use komodo_service::protocol::{Attested, AttestedStep, StepCtx};
 use komodo_service::{
     drive_attested, AttestedClient, Protocol, QuoteWords, Request, Response, Service,
     ServiceConfig, ServiceError, ServiceHandle,
 };
 use komodo_spec::seed::derive_stream;
+use komodo_spec::svc::attest_mac;
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
 
@@ -362,6 +366,47 @@ fn handshake_wave_is_shard_count_invariant() {
     assert_eq!(r1, r4, "per-request records changed with shard count");
 }
 
+/// The execution rungs, fastest first: (accel, superblocks, uop traces).
+const RUNGS: [(bool, bool, bool); 4] = [
+    (true, true, true),
+    (true, true, false),
+    (true, false, false),
+    (false, false, false),
+];
+
+/// Platform seeds every rung-equality input runs under.
+const RUNG_SEEDS: [u64; 3] = [1, 0x5eed, 104_729];
+
+/// A platform seeded `seed` with the execution ladder set by `(accel,
+/// superblocks, uop traces)`.
+fn platform_on_rung(seed: u64, (accel, superblocks, uops): (bool, bool, bool)) -> Platform {
+    let mut p = Platform::with_config(PlatformConfig::default().with_seed(seed));
+    p.machine.set_fetch_accel(accel);
+    p.machine.set_superblocks(superblocks);
+    p.machine.set_uop_traces(uops);
+    p
+}
+
+/// The four-way differential harness: runs `run` for every seed in
+/// [`RUNG_SEEDS`] on micro-op regions, superblocks, the fetch
+/// accelerator only, and plain stepping, asserts the four observations
+/// are identical, and returns the uop rung's per seed.
+fn identical_at_every_rung<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    run: impl Fn(u64, (bool, bool, bool)) -> T,
+) -> Vec<(u64, T)> {
+    RUNG_SEEDS
+        .iter()
+        .map(|&seed| {
+            let [uop, sb, accel, base] = RUNGS.map(|r| run(seed, r));
+            assert_eq!(uop, base, "{what}, seed {seed}: uop rung diverged");
+            assert_eq!(sb, base, "{what}, seed {seed}: superblock rung diverged");
+            assert_eq!(accel, base, "{what}, seed {seed}: accel rung diverged");
+            (seed, uop)
+        })
+        .collect()
+}
+
 /// What one rung observes of a whole attested session.
 #[derive(Debug, PartialEq)]
 struct RungRun {
@@ -374,14 +419,10 @@ struct RungRun {
 }
 
 /// Boot → load → `Attested::begin` → confirm → two sends on a platform
-/// seeded `seed`, with the execution ladder set by `(accel, superblocks,
-/// uop traces)`; the traffic tags are checked against the verifier's
-/// key on the way.
-fn attested_session_on_rung(seed: u64, (accel, superblocks, uops): (bool, bool, bool)) -> RungRun {
-    let mut p = Platform::with_config(PlatformConfig::default().with_seed(seed));
-    p.machine.set_fetch_accel(accel);
-    p.machine.set_superblocks(superblocks);
-    p.machine.set_uop_traces(uops);
+/// seeded `seed` at `rung`; the traffic tags are checked against the
+/// verifier's key on the way.
+fn attested_session_on_rung(seed: u64, rung: (bool, bool, bool)) -> RungRun {
+    let mut p = platform_on_rung(seed, rung);
     let e = p.load(&Attested::image()).expect("ra load");
     let vs = VerifierSession::new([seed as u32, 2, 3, 4], 0x5eed, seed as u32);
     let c0 = p.cycles();
@@ -420,28 +461,111 @@ fn attested_session_on_rung(seed: u64, (accel, superblocks, uops): (bool, bool, 
 }
 
 /// The handshake in the four-way differential: for several platform
-/// seeds, the whole attested session run with micro-op regions,
-/// superblocks, the fetch accelerator only, and plain stepping yields
-/// identical quotes, confirm outcomes, traffic tags, cycle counts and
-/// retired-instruction totals.
+/// seeds, the whole attested session yields identical quotes, confirm
+/// outcomes, traffic tags, cycle counts and retired-instruction totals
+/// on every rung.
 #[test]
 fn handshake_is_identical_at_every_rung() {
-    const RUNGS: [(bool, bool, bool); 4] = [
-        (true, true, true),
-        (true, true, false),
-        (true, false, false),
-        (false, false, false),
-    ];
-    for seed in [1u64, 0x5eed, 104_729] {
-        let [uop, sb, accel, base] = RUNGS.map(|r| attested_session_on_rung(seed, r));
+    for (seed, uop) in identical_at_every_rung("handshake", attested_session_on_rung) {
         assert_eq!(uop.confirm, Ok(Response::SessionEstablished), "seed {seed}");
         assert!(
             uop.sends.iter().all(|r| r.is_ok()),
             "seed {seed}: {:?}",
             uop.sends
         );
-        assert_eq!(uop, base, "seed {seed}: uop rung diverged");
-        assert_eq!(sb, base, "seed {seed}: superblock rung diverged");
-        assert_eq!(accel, base, "seed {seed}: accel rung diverged");
     }
+}
+
+/// Document size of the rung-equality and dispatch-profile notarizations.
+const NOTARY_DOC_KB: usize = 4;
+
+/// What one rung observes of one notarization.
+#[derive(Debug, PartialEq)]
+struct NotaryRun {
+    counter: u32,
+    mac: [u32; 8],
+    cycles: u64,
+    retired: u64,
+}
+
+/// Boot → load → one signing pass of the notary over a
+/// [`NOTARY_DOC_KB`] document on a platform seeded `seed` at `rung`; the
+/// MAC is checked against the monitor's attestation key on the way.
+fn notary_on_rung(seed: u64, rung: (bool, bool, bool)) -> NotaryRun {
+    let mut p = platform_on_rung(seed, rung);
+    let doc: Vec<u32> = (0..NOTARY_DOC_KB * 256)
+        .map(|i| (i as u32 ^ seed as u32).wrapping_mul(0x0100_0193))
+        .collect();
+    let img = notary_image((NOTARY_DOC_KB * 1024).div_ceil(4096));
+    let e = p.load(&img).expect("notary load");
+    p.write_shared(&e, 3, 0, &doc);
+    let EnclaveRun::Exited(counter) = p.run(&e, 0, [(doc.len() / 16) as u32, 0, 0]) else {
+        panic!("seed {seed}: notary did not exit");
+    };
+    let mut mac = [0u32; 8];
+    mac.copy_from_slice(&p.read_shared(&e, 4, 0, 8));
+    let expected = attest_mac(
+        p.monitor.attest_key(),
+        &measure_image(&img, 1),
+        &notarised_digest(counter, &doc),
+    );
+    assert_eq!(
+        mac, expected.0,
+        "seed {seed}: notary MAC failed verification"
+    );
+    NotaryRun {
+        counter,
+        mac,
+        cycles: p.cycles(),
+        retired: p.machine.metrics_snapshot().retired(),
+    }
+}
+
+/// Figure 5's notary in the same four-way differential: for each seed,
+/// a 4 KB notarization yields the identical counter, MAC, cycle count
+/// and retired total on every rung.
+#[test]
+fn notary_is_identical_at_every_rung() {
+    for (seed, uop) in identical_at_every_rung("notary", notary_on_rung) {
+        assert_eq!(uop.counter, 1, "seed {seed}: first notarization");
+    }
+}
+
+/// Dispatch-profile guard for the notarization at the uop rung: the
+/// SHA-256 round loop (with its `PUSH`/`POP` spill) runs as one chained
+/// micro-op region, so nearly every instruction retires in regions and
+/// per-instruction steps stay at about one per compression — the
+/// counters, being deterministic, repeat exactly.
+#[test]
+fn notary_runs_in_regions_at_the_uop_rung() {
+    let profile = || {
+        let mut p = platform_on_rung(1, RUNGS[0]);
+        let doc = vec![0x0123_4567u32; NOTARY_DOC_KB * 256];
+        let e = p
+            .load(&notary_image((NOTARY_DOC_KB * 1024).div_ceil(4096)))
+            .expect("notary load");
+        p.write_shared(&e, 3, 0, &doc);
+        let before = p.machine.metrics_snapshot();
+        let r = p.run(&e, 0, [(doc.len() / 16) as u32, 0, 0]);
+        assert!(matches!(r, EnclaveRun::Exited(1)), "{r:?}");
+        p.machine.metrics_snapshot().delta_since(&before)
+    };
+    let s = profile();
+    assert_eq!(s, profile(), "dispatch counters must repeat exactly");
+    // The counter block, one per 64-byte document block, and the padding
+    // block.
+    let compressions = (NOTARY_DOC_KB * 1024 / 64 + 2) as u64;
+    let insns = s.retired();
+    // The cold start before promotion (~3.3k instructions) is 1.5% of a
+    // 4 KB notarization; everything after it runs in regions.
+    assert!(
+        s.retired_uop * 100 >= insns * 98,
+        "only {} of {insns} instructions retired in regions: {s:?}",
+        s.retired_uop
+    );
+    assert!(
+        s.retired_step <= 2 * compressions,
+        "{} per-instruction steps over {compressions} compressions: {s:?}",
+        s.retired_step
+    );
 }
