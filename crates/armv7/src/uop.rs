@@ -10,12 +10,12 @@
 //!
 //! What gets specialised is a **region**, not just the block: the
 //! contiguous address range starting at the block's entry and running
-//! on through its conditional forward branches (up to [`REGION_MAX`]
+//! on through its conditional forward branches (up to `REGION_MAX`
 //! instructions), ending where a block would end at any other branch or
 //! at an instruction no trace may hold. A conditional forward branch
 //! whose target lies inside the region becomes a guarded internal jump
-//! ([`Uop::Jump`]); one leaving the region becomes a side exit
-//! ([`Uop::SideExit`]); the final branch is the region's exit, and when
+//! (`Uop::Jump`); one leaving the region becomes a side exit
+//! (`Uop::SideExit`); the final branch is the region's exit, and when
 //! it targets the entry the runner chains passes in place. Internal
 //! edges only go forward, so every instruction runs at most once per
 //! pass: the region's worst-case charge is the sum of its instructions'
@@ -60,7 +60,7 @@
 //!   the exact path would compute, and accounting one TLB hit per
 //!   access remains exact.
 //! - **Load/store-multiple** (`LDM`/`STM`, `PUSH`/`POP`) lowers to one
-//!   [`Uop::Multi`] with the register list, direction and writeback
+//!   `Uop::Multi` with the register list, direction and writeback
 //!   pre-resolved. It runs through the same all-or-nothing helper as
 //!   the superblock body loop (`lsm_transfer` in [`crate::exec`]): every
 //!   word is vetted against the data-TLB and the physical frame before

@@ -1,8 +1,7 @@
 //! Attested-session throughput: the full remote-attestation handshake
 //! (challenge → in-enclave quote → verifier check → confirmation →
 //! MAC'd traffic → close) driven closed-loop through the service node
-//! at 1 and 4 shards, and the `attested_*` fields of
-//! `BENCH_sim_throughput.json`.
+//! at 1 and 4 shards.
 //!
 //! The protocol work lives in [`komodo_service::drive_attested`]; this
 //! harness wraps it at the bench's standard knobs (fixed challenge
@@ -10,19 +9,16 @@
 //! percentiles and session rates, and asserts the determinism contract
 //! in the large: the identical challenge schedule produces a
 //! bit-identical [`AttestedOutcome`] — session-key digest included —
-//! at every shard count. The CI gates are *100% handshake success*
-//! (every attempted handshake establishes and every traffic tag
-//! verifies) and 4-shard CPU-normalized aggregate scaling of at least
-//! 2.5x the single shard, the same core-count-independent basis the
-//! fleet sweep uses.
+//! at every shard count. The gates are *100% handshake success* (every
+//! attempted handshake establishes and every traffic tag verifies) and
+//! a 4-shard CPU-normalized speedup between 2.5x and the shard count,
+//! the basis the fleet sweep uses.
 
-use komodo_chaos::CampaignReport;
-use komodo_service::{drive_attested, AttestedClient, AttestedOutcome, Service, ServiceConfig};
+use komodo_service::{
+    drive_attested, nearest_rank, AttestedClient, AttestedOutcome, Service, ServiceConfig,
+};
 
-use crate::fleet::FleetScaling;
-use crate::ingest::IngestComparison;
-use crate::service::ServiceScaling;
-use crate::throughput::Throughput;
+use crate::report::{busy_s, Row};
 
 /// Seed for the challenge schedule (client nonces, DH secrets, message
 /// payloads) — fixed so every row, and every run, replays the
@@ -40,7 +36,7 @@ pub struct AttestedThroughput {
     pub outcome: AttestedOutcome,
     /// Wall-clock seconds for the whole run.
     pub wall_s: f64,
-    /// Summed per-shard busy CPU seconds.
+    /// Summed per-shard busy CPU seconds ([`busy_s`]).
     pub busy_s: f64,
     /// Median handshake latency (begin submitted → session
     /// established), ns.
@@ -50,90 +46,27 @@ pub struct AttestedThroughput {
 }
 
 impl AttestedThroughput {
-    /// Fraction of attempted handshakes that established. The CI gate
+    /// Fraction of attempted handshakes that established. The gate
     /// requires exactly 1.0 — a genuine quote refused anywhere is a
     /// protocol bug, not noise.
     pub fn success(&self) -> f64 {
         self.outcome.established as f64 / (self.outcome.sessions as f64).max(1.0)
     }
-
-    /// Sustained established sessions per wall second.
-    pub fn sessions_per_s(&self) -> f64 {
-        self.outcome.established as f64 / self.wall_s.max(1e-9)
-    }
-
-    /// Per-busy-second session rate, the same CPU-normalized basis as
-    /// [`FleetThroughput::cpu_ips`](crate::fleet::FleetThroughput::cpu_ips).
-    pub fn cpu_sessions_per_s(&self) -> f64 {
-        self.outcome.established as f64 / self.busy_s.max(1e-9)
-    }
-
-    /// CPU-normalized aggregate sessions/second — the number the
-    /// scaling gate is computed on (core-count-independent, like the
-    /// fleet's `agg_ips`).
-    pub fn agg_sessions_per_s(&self) -> f64 {
-        self.shards as f64 * self.cpu_sessions_per_s()
-    }
 }
 
-/// The attested scaling sweep: one row per shard count, identical
-/// challenge schedule.
-#[derive(Clone, Debug)]
-pub struct AttestedScaling {
-    /// Handshakes attempted per row.
-    pub sessions: u64,
-    /// MAC'd application messages per established session.
-    pub messages: u64,
-    /// One measurement per requested shard count, in request order.
-    pub rows: Vec<AttestedThroughput>,
-}
-
-impl AttestedScaling {
-    /// The row measured at `shards`, if the sweep included it.
-    pub fn row(&self, shards: usize) -> Option<&AttestedThroughput> {
-        self.rows.iter().find(|r| r.shards == shards)
+impl Row for AttestedThroughput {
+    fn shards(&self) -> usize {
+        self.shards
     }
 
-    /// CPU-normalized aggregate speedup of `shards` over the 1-shard
-    /// row; the CI gate requires ≥ 2.5 at 4 shards.
-    pub fn agg_speedup(&self, shards: usize) -> f64 {
-        let one = self.row(1).map(|r| r.agg_sessions_per_s()).unwrap_or(0.0);
-        self.row(shards)
-            .map(|r| r.agg_sessions_per_s())
-            .unwrap_or(0.0)
-            / one.max(1e-9)
+    /// Established sessions per wall second.
+    fn wall_rate(&self) -> f64 {
+        self.outcome.established as f64 / self.wall_s
     }
-}
 
-/// 4-shard aggregate speedup with paired re-measurement, mirroring
-/// [`crate::service::vs_fleet_4x_paired`]: the sweep's rows run at
-/// different times, so transient host contention landing on one row
-/// masquerades as a scaling failure. If the sweep's ratio falls under
-/// the 2.5 gate, the 1/4-shard pair is re-measured back-to-back (up to
-/// `retries` times) so both sides see the same host conditions, and
-/// the best ratio wins.
-pub fn agg_4x_paired(s: &AttestedScaling, retries: u32) -> f64 {
-    let mut best = s.agg_speedup(4);
-    for _ in 0..retries {
-        if best >= 2.5 {
-            break;
-        }
-        let one = measure_attested(1, s.sessions as usize, s.messages as usize);
-        let four = measure_attested(4, s.sessions as usize, s.messages as usize);
-        best = best.max(four.agg_sessions_per_s() / one.agg_sessions_per_s().max(1e-9));
+    fn agg_rate(&self) -> f64 {
+        self.shards as f64 * self.outcome.established as f64 / self.busy_s
     }
-    best
-}
-
-/// Nearest-rank percentile over a sorted latency sample, ns — the same
-/// convention as [`komodo_service::percentile_ns`], which works over
-/// request records rather than a raw sample.
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// Measures one shard count: the full handshake schedule driven
@@ -145,25 +78,23 @@ pub fn measure_attested(shards: usize, sessions: usize, messages: usize) -> Atte
     let run = Service::run(config, |h| {
         drive_attested(h, &client, ATTESTED_SEED, sessions, messages)
     });
-    let busy_ns = run.busy_ns();
-    let wall_s = run.wall.as_secs_f64();
+    let busy_s = busy_s(run.busy_ns(), run.wall);
     let report = run.value;
-    let mut hs = report.handshake_ns;
-    hs.sort_unstable();
+    let (p50_ns, p99_ns) = (
+        nearest_rank(report.handshake_ns.clone(), 50.0),
+        nearest_rank(report.handshake_ns, 99.0),
+    );
+    assert!(
+        0 < p50_ns && p50_ns <= p99_ns,
+        "{shards} shards: implausible handshake percentiles {p50_ns} / {p99_ns} ns"
+    );
     AttestedThroughput {
         shards,
         outcome: report.outcome,
-        wall_s,
-        // Same degraded-host fallback as the fleet/service harnesses:
-        // no thread CPU clock and a zero-rounded wall fallback → use
-        // run wall.
-        busy_s: if busy_ns == 0 {
-            wall_s
-        } else {
-            busy_ns as f64 / 1e9
-        },
-        p50_ns: percentile(&hs, 50.0),
-        p99_ns: percentile(&hs, 99.0),
+        wall_s: run.wall.as_secs_f64(),
+        busy_s,
+        p50_ns,
+        p99_ns,
     }
 }
 
@@ -177,7 +108,7 @@ pub fn attested_throughput(
     sessions: usize,
     messages: usize,
     shard_counts: &[usize],
-) -> AttestedScaling {
+) -> Vec<AttestedThroughput> {
     let rows: Vec<AttestedThroughput> = shard_counts
         .iter()
         .map(|&s| measure_attested(s, sessions, messages))
@@ -194,6 +125,7 @@ pub fn attested_throughput(
             "{} shards: attested drive shed or failed work",
             r.shards
         );
+        assert_ne!(r.outcome.key_digest, 0, "empty session-key digest");
     }
     for r in rows.iter().skip(1) {
         assert_eq!(
@@ -202,102 +134,7 @@ pub fn attested_throughput(
             r.shards, rows[0].shards
         );
     }
-    AttestedScaling {
-        sessions: sessions as u64,
-        messages: messages as u64,
-        rows,
-    }
-}
-
-/// Renders the sweep as the `attested_*` JSON fields of
-/// `BENCH_sim_throughput.json` (hand-rolled: no serde). The last field
-/// carries no trailing comma, mirroring
-/// [`crate::service::service_json_fields`].
-pub fn attested_json_fields(s: &AttestedScaling, agg_4x: f64) -> String {
-    let success = s
-        .rows
-        .iter()
-        .map(AttestedThroughput::success)
-        .fold(f64::INFINITY, f64::min);
-    let mut out = String::new();
-    out.push_str(&format!("  \"attested_sessions\": {},\n", s.sessions));
-    out.push_str(&format!("  \"attested_messages\": {},\n", s.messages));
-    out.push_str(&format!(
-        "  \"attested_established\": {},\n",
-        s.rows.first().map(|r| r.outcome.established).unwrap_or(0)
-    ));
-    out.push_str(&format!(
-        "  \"attested_handshake_success\": {success:.4},\n"
-    ));
-    out.push_str(&format!(
-        "  \"attested_key_digest\": \"{:#018x}\",\n",
-        s.rows.first().map(|r| r.outcome.key_digest).unwrap_or(0)
-    ));
-    out.push_str(&format!("  \"attested_agg_speedup_4x\": {agg_4x:.2},\n"));
-    out.push_str("  \"attested_scaling\": [\n");
-    for (i, r) in s.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"established\": {}, \"messages\": {}, \
-             \"wall_s\": {:.6}, \"busy_s\": {:.6}, \"sessions_per_s\": {:.1}, \
-             \"hs_p50_us\": {:.1}, \"hs_p99_us\": {:.1}, \
-             \"agg_sessions_per_s\": {:.1}}}{}\n",
-            r.shards,
-            r.outcome.established,
-            r.outcome.messages,
-            r.wall_s,
-            r.busy_s,
-            r.sessions_per_s(),
-            r.p50_ns as f64 / 1e3,
-            r.p99_ns as f64 / 1e3,
-            r.agg_sessions_per_s(),
-            if i + 1 < s.rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n");
-    out
-}
-
-/// The full `BENCH_sim_throughput.json` document with the attested
-/// sweep appended after the chaos fields.
-#[allow(clippy::too_many_arguments)]
-pub fn to_json_with_attested(
-    results: &[Throughput],
-    fleet: &FleetScaling,
-    service: &ServiceScaling,
-    ingest: &IngestComparison,
-    chaos: &CampaignReport,
-    attested: &AttestedScaling,
-    agg_4x: f64,
-) -> String {
-    let base = crate::chaos::to_json_with_chaos(results, fleet, service, ingest, chaos);
-    let cut = base
-        .rfind("\n}")
-        .expect("chaos document closes with a brace");
-    let mut out = base[..cut].to_string();
-    out.push_str(",\n");
-    out.push_str(&attested_json_fields(attested, agg_4x));
-    out.push_str("}\n");
-    out
-}
-
-/// Renders the sweep as the EXPERIMENTS.md attested-sessions table.
-pub fn attested_to_markdown(s: &AttestedScaling) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "| shards | sessions/s | handshake p50 | handshake p99 | aggregate sessions/s |\n",
-    );
-    out.push_str("|---:|---:|---:|---:|---:|\n");
-    for r in &s.rows {
-        out.push_str(&format!(
-            "| {} | ~{:.0} | {:.1} ms | {:.1} ms | ~{:.0} |\n",
-            r.shards,
-            r.sessions_per_s(),
-            r.p50_ns as f64 / 1e6,
-            r.p99_ns as f64 / 1e6,
-            r.agg_sessions_per_s(),
-        ));
-    }
-    out
+    rows
 }
 
 #[cfg(test)]
@@ -305,10 +142,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_sweep_establishes_and_fields_are_well_formed() {
+    fn small_sweep_establishes_every_session() {
         let s = attested_throughput(6, 1, &[1, 2]);
-        assert_eq!(s.rows.len(), 2);
-        for r in &s.rows {
+        assert_eq!(s.len(), 2);
+        for r in &s {
             assert_eq!(r.success(), 1.0);
             assert_eq!(r.outcome.messages, 6);
             assert!(r.wall_s > 0.0);
@@ -317,52 +154,13 @@ mod tests {
             assert!(r.p50_ns > 0);
             assert_ne!(r.outcome.key_digest, 0);
         }
-        let f = attested_json_fields(&s, 3.2);
-        assert!(f.contains("\"attested_sessions\": 6"));
-        assert!(f.contains("\"attested_messages\": 1"));
-        assert!(f.contains("\"attested_established\": 6"));
-        assert!(f.contains("\"attested_handshake_success\": 1.0000"));
-        assert!(f.contains("\"attested_key_digest\": \"0x"));
-        assert!(f.contains("\"attested_agg_speedup_4x\": 3.20"));
-        assert!(f.contains("\"attested_scaling\": [\n"));
-        assert!(f.ends_with("  ]\n"), "last field must not carry a comma");
-        assert_eq!(f.matches('{').count(), f.matches('}').count());
-        let md = attested_to_markdown(&s);
-        assert!(md.contains("| shards | sessions/s |"));
-        assert!(md.contains("| 2 | ~"));
-    }
-
-    #[test]
-    fn percentiles_use_the_nearest_rank_convention() {
-        let sample = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
-        assert_eq!(percentile(&sample, 50.0), 50);
-        assert_eq!(percentile(&sample, 99.0), 100);
-        assert_eq!(percentile(&sample, 100.0), 100);
-        assert_eq!(percentile(&[], 50.0), 0);
-        assert_eq!(percentile(&[7], 99.0), 7);
-    }
-
-    #[test]
-    fn full_json_document_stays_balanced() {
-        let attested = attested_throughput(4, 1, &[1]);
-        let chaos = crate::chaos::default_campaign(6, 1);
-        let ingest = crate::ingest::measure_ingest_pair(1, 16, 1, 4);
-        let svc = crate::service::service_throughput(1_000, 4, &[1]);
-        let fleet = crate::fleet::fleet_throughput(1_000, 4, &[1]);
-        let t = crate::throughput::measure("tight_loop", &crate::throughput::tight_loop(), 1_000);
-        let j = to_json_with_attested(
-            std::slice::from_ref(&t),
-            &fleet,
-            &svc,
-            &ingest,
-            &chaos,
-            &attested,
-            4.0,
-        );
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.contains("\"chaos_verdict_digest\": \""));
-        assert!(j.contains("\"attested_sessions\": 4"));
-        assert!(j.contains("\"attested_scaling\": ["));
-        assert!(j.ends_with("  ]\n}\n"));
+        let r = AttestedThroughput {
+            shards: 4,
+            wall_s: 0.5,
+            busy_s: 2.0,
+            ..s[0].clone()
+        };
+        assert_eq!(r.wall_rate(), 12.0);
+        assert_eq!(r.agg_rate(), 12.0);
     }
 }

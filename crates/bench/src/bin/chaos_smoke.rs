@@ -16,12 +16,13 @@
 
 use komodo::Platform;
 use komodo_bench::chaos::{campaign_at, default_campaign, CHAOS_SEED};
+use komodo_bench::report::quick;
 use komodo_chaos::schedule::CaseSpec;
 use komodo_chaos::{run_case_spec, shrink_case, CampaignConfig, ChaosConfig};
 use komodo_monitor::PlantedBugs;
 
 fn main() {
-    let quick = std::env::var("KOMODO_BENCH_QUICK").is_ok_and(|v| v == "1");
+    let quick = quick();
     let cases: u64 = if quick { 1_000 } else { 10_000 };
 
     // (1) Scale: the full campaign on 4 shards.

@@ -1,21 +1,11 @@
-//! Chaos-campaign harness: throughput accounting and the `chaos_*`
-//! fields of `BENCH_sim_throughput.json`.
+//! Chaos-campaign harness at the bench's standard knobs.
 //!
 //! The campaign itself lives in [`komodo_chaos::campaign`]; this module
-//! wraps it at the bench's standard knobs (master seed, case count,
-//! shard count), renders the fault-mix table for EXPERIMENTS.md, and
-//! splices the campaign summary into the committed benchmark JSON so CI
-//! can gate on *zero oracle violations* and on the digest's presence —
-//! the same file-level contract the fleet/service/ingest sweeps use.
+//! fixes the master seed and the recycle policy, so the gated run and
+//! the `chaos_smoke` binary replay the same reproducible cases.
 
-use komodo_chaos::schedule::Fault;
 use komodo_chaos::{run_campaign, CampaignConfig, CampaignReport};
 use komodo_fleet::Recycle;
-
-use crate::fleet::FleetScaling;
-use crate::ingest::IngestComparison;
-use crate::service::ServiceScaling;
-use crate::throughput::Throughput;
 
 /// Master seed for the standard bench campaign — fixed so the committed
 /// verdict digest is reproducible on any host.
@@ -37,105 +27,4 @@ pub fn campaign_at(master_seed: u64, cases: u64, shards: usize) -> CampaignRepor
         recycle: Recycle::Reboot,
         ..CampaignConfig::default()
     })
-}
-
-/// Renders the campaign as the `chaos_*` JSON fields (hand-rolled: no
-/// serde). The last field carries no trailing comma, mirroring
-/// [`crate::ingest::ingest_json_fields`].
-pub fn chaos_json_fields(r: &CampaignReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("  \"chaos_cases\": {},\n", r.cases));
-    out.push_str(&format!("  \"chaos_passed\": {},\n", r.passed));
-    out.push_str(&format!("  \"chaos_shards\": {},\n", r.shards));
-    out.push_str(&format!("  \"chaos_slots\": {},\n", r.slots));
-    out.push_str(&format!(
-        "  \"chaos_faults_injected\": {},\n",
-        r.injected.iter().sum::<u64>()
-    ));
-    out.push_str("  \"chaos_fault_mix\": {");
-    for (i, n) in r.injected.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\": {}", Fault::kind_name(i as u8), n));
-    }
-    out.push_str("},\n");
-    out.push_str(&format!(
-        "  \"chaos_cases_per_sec\": {:.1},\n",
-        r.cases_per_sec()
-    ));
-    out.push_str(&format!(
-        "  \"chaos_verdict_digest\": \"{}\"\n",
-        r.verdict_digest
-    ));
-    out
-}
-
-/// The full `BENCH_sim_throughput.json` document with the chaos
-/// campaign appended after the ingestion fields.
-pub fn to_json_with_chaos(
-    results: &[Throughput],
-    fleet: &FleetScaling,
-    service: &ServiceScaling,
-    ingest: &IngestComparison,
-    chaos: &CampaignReport,
-) -> String {
-    let base = crate::ingest::to_json_full(results, fleet, service, ingest);
-    let cut = base
-        .rfind("\n}")
-        .expect("ingest document closes with a brace");
-    let mut out = base[..cut].to_string();
-    out.push_str(",\n");
-    out.push_str(&chaos_json_fields(chaos));
-    out.push_str("}\n");
-    out
-}
-
-/// Renders the campaign as the EXPERIMENTS.md fault-mix table.
-pub fn chaos_to_markdown(r: &CampaignReport) -> String {
-    let mut out = String::new();
-    out.push_str("| fault kind | injected |\n|---|---:|\n");
-    for (i, n) in r.injected.iter().enumerate() {
-        out.push_str(&format!("| {} | {} |\n", Fault::kind_name(i as u8), n));
-    }
-    out.push_str(&format!(
-        "| **total** | **{}** |\n",
-        r.injected.iter().sum::<u64>()
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn small_campaign_fields_are_well_formed() {
-        let r = default_campaign(12, 2);
-        assert!(r.all_green(), "failures: {:?}", r.failures);
-        let f = chaos_json_fields(&r);
-        assert!(f.contains("\"chaos_cases\": 12"));
-        assert!(f.contains("\"chaos_passed\": 12"));
-        assert!(f.contains("\"chaos_fault_mix\": {\"irq\": "));
-        assert!(f.ends_with("\"\n"), "last field must not carry a comma");
-        assert_eq!(f.matches('{').count(), f.matches('}').count());
-        let md = chaos_to_markdown(&r);
-        assert!(md.contains("| irq | "));
-        assert!(md.contains("| **total** | "));
-    }
-
-    #[test]
-    fn full_json_document_stays_balanced() {
-        let chaos = default_campaign(6, 1);
-        let ingest = crate::ingest::measure_ingest_pair(1, 16, 1, 4);
-        let svc = crate::service::service_throughput(1_000, 4, &[1]);
-        let fleet = crate::fleet::fleet_throughput(1_000, 4, &[1]);
-        let t = crate::throughput::measure("tight_loop", &crate::throughput::tight_loop(), 1_000);
-        let j = to_json_with_chaos(std::slice::from_ref(&t), &fleet, &svc, &ingest, &chaos);
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.contains("\"steal_stolen\": "));
-        assert!(j.contains("\"chaos_cases\": 6"));
-        assert!(j.contains("\"chaos_verdict_digest\": \""));
-        assert!(j.ends_with("\"\n}\n"));
-    }
 }

@@ -10,8 +10,8 @@
 //! (the [`DriveReport::submit_wall`] the driver clocks before joining
 //! tickets).
 //!
-//! The CI gate is the ratio at 4 shards: batched parallel submission
-//! must sustain at least 2x the single-submit request rate. The win is
+//! The gate is the ratio at 4 shards: batched parallel submission must
+//! sustain at least 2x the single-submit request rate. The win is
 //! amortization — one timestamp, one capacity reservation pass, one
 //! result block and one worker wake per batch instead of per request —
 //! so it holds on a single-core host too, where parallelism alone
@@ -23,10 +23,6 @@
 use komodo_service::{
     drive_indexed, percentile_ns, schedule_indexed, Mix, Request, Service, ServiceConfig,
 };
-
-use crate::fleet::FleetScaling;
-use crate::service::ServiceScaling;
-use crate::throughput::Throughput;
 
 /// Seed for the ingest arrival schedule — fixed so both sides of the
 /// comparison (and every run) replay the identical request sequence.
@@ -81,7 +77,8 @@ impl IngestMeasurement {
 
 /// Measures one ingestion configuration over the fixed quote schedule
 /// and asserts its conservation contract: every request completes, and
-/// each shard's job count splits exactly into own + stolen claims.
+/// each shard's job count splits exactly into own + stolen claims that
+/// sum to the schedule.
 pub fn measure_ingest(
     shards: usize,
     requests: u64,
@@ -107,6 +104,13 @@ pub fn measure_ingest(
             "shard {i}: claimed jobs must split into own + stolen"
         );
     }
+    let steal_own: u64 = run.shards.iter().map(|s| s.own).sum();
+    let steal_stolen: u64 = run.shards.iter().map(|s| s.stolen).sum();
+    assert_eq!(
+        steal_own + steal_stolen,
+        requests,
+        "steal accounting lost jobs"
+    );
     IngestMeasurement {
         shards,
         requests,
@@ -116,8 +120,8 @@ pub fn measure_ingest(
         wall_s: run.wall.as_secs_f64(),
         p50_ns: percentile_ns(&run.records, 50.0),
         p99_ns: percentile_ns(&run.records, 99.0),
-        steal_own: run.shards.iter().map(|s| s.own).sum(),
-        steal_stolen: run.shards.iter().map(|s| s.stolen).sum(),
+        steal_own,
+        steal_stolen,
     }
 }
 
@@ -132,7 +136,7 @@ pub struct IngestComparison {
 }
 
 impl IngestComparison {
-    /// Batched-over-single submission-rate ratio — the CI gate number
+    /// Batched-over-single submission-rate ratio — the gated number
     /// (≥ 2.0 at 4 shards).
     pub fn batch_over_single(&self) -> f64 {
         self.batched.submit_rps() / self.single.submit_rps().max(1e-9)
@@ -150,107 +154,6 @@ pub fn measure_ingest_pair(
         single: measure_ingest(shards, requests, 1, 1),
         batched: measure_ingest(shards, requests, submitters, batch),
     }
-}
-
-/// The gated 4-shard comparison with paired re-measurement: a
-/// transient host stall landing on one side of the pair masquerades as
-/// an ingestion regression, so a pair under the 2.0 gate is re-measured
-/// back-to-back up to `retries` times and the best ratio wins — the
-/// gate polices the batched path's amortization, not scheduler jitter.
-pub fn ingest_4x_paired(
-    requests: u64,
-    submitters: usize,
-    batch: usize,
-    retries: u32,
-) -> IngestComparison {
-    let mut best = measure_ingest_pair(4, requests, submitters, batch);
-    for _ in 0..retries {
-        if best.batch_over_single() >= 2.0 {
-            break;
-        }
-        let again = measure_ingest_pair(4, requests, submitters, batch);
-        if again.batch_over_single() > best.batch_over_single() {
-            best = again;
-        }
-    }
-    best
-}
-
-/// Renders the comparison as the ingest JSON fields of
-/// `BENCH_sim_throughput.json` (hand-rolled: no serde).
-pub fn ingest_json_fields(c: &IngestComparison) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("  \"ingest_requests\": {},\n", c.batched.requests));
-    out.push_str(&format!("  \"ingest_shards\": {},\n", c.batched.shards));
-    out.push_str(&format!(
-        "  \"ingest_submitters\": {},\n",
-        c.batched.submitters
-    ));
-    out.push_str(&format!("  \"ingest_batch\": {},\n", c.batched.batch));
-    out.push_str(&format!(
-        "  \"svc_single_submit_rps\": {:.1},\n",
-        c.single.submit_rps()
-    ));
-    out.push_str(&format!(
-        "  \"svc_submit_rps\": {:.1},\n",
-        c.batched.submit_rps()
-    ));
-    out.push_str(&format!(
-        "  \"svc_batch_over_single\": {:.2},\n",
-        c.batch_over_single()
-    ));
-    out.push_str(&format!(
-        "  \"ingest_p50_us\": {:.1},\n",
-        c.batched.p50_ns as f64 / 1e3
-    ));
-    out.push_str(&format!(
-        "  \"ingest_p99_us\": {:.1},\n",
-        c.batched.p99_ns as f64 / 1e3
-    ));
-    out.push_str(&format!("  \"steal_own\": {},\n", c.batched.steal_own));
-    out.push_str(&format!("  \"steal_stolen\": {}\n", c.batched.steal_stolen));
-    out
-}
-
-/// The full `BENCH_sim_throughput.json` document: per-workload
-/// measurements, the fleet sweep, the service sweep, and the ingestion
-/// head-to-head.
-pub fn to_json_full(
-    results: &[Throughput],
-    fleet: &FleetScaling,
-    service: &ServiceScaling,
-    ingest: &IngestComparison,
-) -> String {
-    let base = crate::service::to_json_with_fleet_and_service(results, fleet, service);
-    let cut = base
-        .rfind("  ]\n}")
-        .expect("service_scaling array closes the service document");
-    let mut out = base[..cut].to_string();
-    out.push_str("  ],\n");
-    out.push_str(&ingest_json_fields(ingest));
-    out.push_str("}\n");
-    out
-}
-
-/// Renders the comparison as the EXPERIMENTS.md ingestion table.
-pub fn ingest_to_markdown(c: &IngestComparison) -> String {
-    let mut out = String::new();
-    out.push_str("| ingestion path | submitters | batch | submit req/s | ratio |\n");
-    out.push_str("|---|---:|---:|---:|---:|\n");
-    out.push_str(&format!(
-        "| per-request `submit` | {} | {} | ~{:.0} | 1.00x |\n",
-        c.single.submitters,
-        c.single.batch,
-        c.single.submit_rps()
-    ));
-    out.push_str(&format!(
-        "| parallel `submit_batch` | {} | {} | ~{:.0} | {:.2}x |\n",
-        c.batched.submitters,
-        c.batched.batch,
-        c.batched.submit_rps(),
-        c.batch_over_single()
-    ));
-    out
 }
 
 #[cfg(test)]
@@ -273,6 +176,17 @@ mod tests {
     }
 
     #[test]
+    fn submit_rates_and_their_ratio() {
+        let c = IngestComparison {
+            single: fake(1, 1, 0.5),
+            batched: fake(4, 256, 0.125),
+        };
+        assert_eq!(c.single.submit_rps(), 2000.0);
+        assert_eq!(c.batched.submit_rps(), 8000.0);
+        assert_eq!(c.batch_over_single(), 4.0);
+    }
+
+    #[test]
     fn measures_both_paths_and_conserves_jobs() {
         let c = measure_ingest_pair(2, 64, 2, 16);
         assert_eq!(c.single.requests, 64);
@@ -285,39 +199,5 @@ mod tests {
         assert_eq!(c.batched.steal_own + c.batched.steal_stolen, 64);
         assert!(c.batched.p99_ns >= c.batched.p50_ns);
         assert!(c.batch_over_single() > 0.0);
-    }
-
-    #[test]
-    fn json_fields_and_markdown_carry_the_gate_number() {
-        let c = IngestComparison {
-            single: fake(1, 1, 0.01),
-            batched: fake(4, 256, 0.004),
-        };
-        let f = ingest_json_fields(&c);
-        assert!(f.contains("\"svc_single_submit_rps\": 100000.0"));
-        assert!(f.contains("\"svc_submit_rps\": 250000.0"));
-        assert!(f.contains("\"svc_batch_over_single\": 2.50"));
-        assert!(f.contains("\"steal_own\": 900"));
-        assert!(f.contains("\"steal_stolen\": 100"));
-        assert!(f.contains("\"ingest_p50_us\": 1000.0"));
-        let md = ingest_to_markdown(&c);
-        assert!(md.contains("| per-request `submit` | 1 | 1 | ~100000 | 1.00x |"));
-        assert!(md.contains("| parallel `submit_batch` | 4 | 256 | ~250000 | 2.50x |"));
-    }
-
-    #[test]
-    fn full_json_document_stays_balanced() {
-        let c = IngestComparison {
-            single: fake(1, 1, 0.01),
-            batched: fake(4, 256, 0.004),
-        };
-        let s = crate::service::service_throughput(1_000, 4, &[1]);
-        let fleet = crate::fleet::fleet_throughput(1_000, 4, &[1]);
-        let t = crate::throughput::measure("tight_loop", &crate::throughput::tight_loop(), 1_000);
-        let j = to_json_full(std::slice::from_ref(&t), &fleet, &s, &c);
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.contains("\"service_scaling\": ["));
-        assert!(j.contains("\"svc_batch_over_single\": 2.50"));
-        assert!(j.ends_with("\"steal_stolen\": 100\n}\n"));
     }
 }

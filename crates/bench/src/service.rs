@@ -4,12 +4,12 @@
 //! The fleet sweep ([`crate::fleet`]) measures the raw scheduler; this
 //! harness measures the same simulated work arriving as typed requests
 //! through the service node — admission, per-request accounting and the
-//! response path included. The CI gate is the head-to-head: at 4 shards
-//! the service's CPU-normalized aggregate must stay within 10% of the
-//! raw fleet's (ratio ≥ 0.9), i.e. the request layer is bookkeeping,
-//! not a throughput tax.
+//! response path included. The gated head-to-head: at 4 shards the
+//! service's CPU-normalized rate, measured back to back with the raw
+//! fleet's in every repeat, must stay within 10% of it (ratio ≥ 0.9),
+//! i.e. the request layer is bookkeeping, not a throughput tax.
 //!
-//! Load is open-loop: a seeded arrival schedule over the five guest
+//! Load is open-loop: a seeded arrival schedule over the guest
 //! workloads as [`Request::Invoke`] prototypes, submitted as one burst
 //! (mean gap 0 — the maximum-pressure profile) against an unbounded
 //! queue, then joined. Latency percentiles (p50/p99 end-to-end,
@@ -18,8 +18,8 @@
 use komodo_service::{drive, percentile_ns, schedule, Mix, Request, Service, ServiceConfig};
 use std::sync::Arc;
 
-use crate::fleet::FleetScaling;
-use crate::throughput::{workloads, Throughput};
+use crate::report::{busy_s, Row};
+use crate::throughput::workloads;
 
 /// Seed for the arrival schedule — fixed so every row (and every run)
 /// replays the identical request sequence.
@@ -48,72 +48,23 @@ pub struct ServiceThroughput {
     pub p99_ns: u64,
 }
 
-impl ServiceThroughput {
-    /// Sustained request rate: completed requests per wall second.
-    pub fn req_s(&self) -> f64 {
-        self.completed as f64 / self.wall_s.max(1e-9)
+impl Row for ServiceThroughput {
+    fn shards(&self) -> usize {
+        self.shards
     }
 
-    /// Per-busy-second efficiency, same basis as
-    /// [`FleetThroughput::cpu_ips`](crate::fleet::FleetThroughput::cpu_ips).
-    pub fn cpu_ips(&self) -> f64 {
-        self.insns as f64 / self.busy_s.max(1e-9)
+    /// Simulated instructions per wall second — the fleet's basis, so
+    /// the two compare directly.
+    fn wall_rate(&self) -> f64 {
+        self.insns as f64 / self.wall_s
     }
 
-    /// CPU-normalized aggregate instructions/second — the number the
-    /// fleet comparison gate is computed on.
-    pub fn agg_ips(&self) -> f64 {
-        self.shards as f64 * self.cpu_ips()
+    fn agg_rate(&self) -> f64 {
+        self.shards as f64 * self.insns as f64 / self.busy_s
     }
 }
 
-/// The service scaling sweep: one row per shard count, identical
-/// request schedule.
-#[derive(Clone, Debug)]
-pub struct ServiceScaling {
-    /// Simulated instructions per request.
-    pub steps: u64,
-    /// Requests per row.
-    pub requests: u64,
-    /// One measurement per requested shard count, in request order.
-    pub rows: Vec<ServiceThroughput>,
-}
-
-impl ServiceScaling {
-    /// The row measured at `shards`, if the sweep included it.
-    pub fn row(&self, shards: usize) -> Option<&ServiceThroughput> {
-        self.rows.iter().find(|r| r.shards == shards)
-    }
-
-    /// Service-vs-fleet CPU-normalized aggregate ratio at `shards`.
-    /// ≥ 1.0 means the request layer costs nothing measurable; the CI
-    /// gate requires ≥ 0.9 at 4 shards.
-    pub fn vs_fleet(&self, fleet: &FleetScaling, shards: usize) -> f64 {
-        let f = fleet.row(shards).map(|r| r.agg_ips()).unwrap_or(0.0);
-        self.row(shards).map(|r| r.agg_ips()).unwrap_or(0.0) / f.max(1e-9)
-    }
-}
-
-/// Service-vs-fleet 4-shard ratio with paired re-measurement. The two
-/// sweeps run at different times, so transient host contention landing
-/// on one side masquerades as a request-layer tax; if the sweeps' ratio
-/// falls under the 0.9 gate, the 4-shard pair is re-measured
-/// back-to-back (up to `retries` times) so both sides see the same host
-/// conditions, and the best ratio wins.
-pub fn vs_fleet_4x_paired(service: &ServiceScaling, fleet: &FleetScaling, retries: u32) -> f64 {
-    let mut best = service.vs_fleet(fleet, 4);
-    for _ in 0..retries {
-        if best >= 0.9 {
-            break;
-        }
-        let f = crate::fleet::measure_fleet(4, service.steps, service.requests);
-        let s = measure_service(4, service.steps, service.requests);
-        best = best.max(s.agg_ips() / f.agg_ips().max(1e-9));
-    }
-    best
-}
-
-/// The service bench's request mix: the five guest workloads as
+/// The service bench's request mix: the guest workloads as
 /// equally-weighted [`Request::Invoke`] prototypes of `steps`
 /// instructions each.
 pub fn invoke_mix(steps: u64) -> Mix {
@@ -147,31 +98,35 @@ pub fn measure_service(shards: usize, steps: u64, requests: u64) -> ServiceThrou
         "unbounded burst must resolve every request"
     );
     assert_eq!(outcome.errors, 0, "invoke requests must all complete");
-    let busy_ns = run.busy_ns();
-    let wall_s = run.wall.as_secs_f64();
+    let (p50_ns, p99_ns) = (
+        percentile_ns(&run.records, 50.0),
+        percentile_ns(&run.records, 99.0),
+    );
+    assert!(
+        0 < p50_ns && p50_ns <= p99_ns,
+        "implausible latency percentiles {p50_ns} / {p99_ns} ns"
+    );
     ServiceThroughput {
         shards,
         requests,
         completed: outcome.ok,
         rejected: outcome.rejected,
         insns: steps * outcome.ok,
-        wall_s,
-        // Same degraded-host fallback as the fleet harness: no thread
-        // CPU clock and a zero-rounded wall fallback → use run wall.
-        busy_s: if busy_ns == 0 {
-            wall_s
-        } else {
-            busy_ns as f64 / 1e9
-        },
-        p50_ns: percentile_ns(&run.records, 50.0),
-        p99_ns: percentile_ns(&run.records, 99.0),
+        wall_s: run.wall.as_secs_f64(),
+        busy_s: busy_s(run.busy_ns(), run.wall),
+        p50_ns,
+        p99_ns,
     }
 }
 
 /// The service scaling sweep over `shard_counts`, asserting the service
 /// conservation/determinism contract in the large: the identical
 /// schedule completes identically at every shard count.
-pub fn service_throughput(steps: u64, requests: u64, shard_counts: &[usize]) -> ServiceScaling {
+pub fn service_throughput(
+    steps: u64,
+    requests: u64,
+    shard_counts: &[usize],
+) -> Vec<ServiceThroughput> {
     let rows: Vec<ServiceThroughput> = shard_counts
         .iter()
         .map(|&s| measure_service(s, steps, requests))
@@ -185,100 +140,18 @@ pub fn service_throughput(steps: u64, requests: u64, shard_counts: &[usize]) -> 
             rows[0].shards
         );
     }
-    ServiceScaling {
-        steps,
-        requests,
-        rows,
-    }
-}
-
-/// The default sweep, mirroring the fleet's: 16 requests at 1, 2, 4
-/// and 8 shards.
-pub fn default_service_sweep(steps: u64) -> ServiceScaling {
-    service_throughput(steps, 16, &[1, 2, 4, 8])
-}
-
-/// Renders the sweep as the `service_*` JSON fields of
-/// `BENCH_sim_throughput.json` (hand-rolled: no serde).
-pub fn service_json_fields(s: &ServiceScaling, vs_fleet_4x: f64) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("  \"service_requests\": {},\n", s.requests));
-    out.push_str(&format!("  \"service_steps\": {},\n", s.steps));
-    out.push_str(&format!("  \"service_vs_fleet_4x\": {vs_fleet_4x:.2},\n"));
-    out.push_str("  \"service_scaling\": [\n");
-    for (i, r) in s.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"requests\": {}, \"completed\": {}, \
-             \"rejected\": {}, \"insns\": {}, \"wall_s\": {:.6}, \
-             \"busy_s\": {:.6}, \"req_s\": {:.1}, \"p50_us\": {:.1}, \
-             \"p99_us\": {:.1}, \"agg_ips\": {:.0}}}{}\n",
-            r.shards,
-            r.requests,
-            r.completed,
-            r.rejected,
-            r.insns,
-            r.wall_s,
-            r.busy_s,
-            r.req_s(),
-            r.p50_ns as f64 / 1e3,
-            r.p99_ns as f64 / 1e3,
-            r.agg_ips(),
-            if i + 1 < s.rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n");
-    out
-}
-
-/// The full `BENCH_sim_throughput.json` document: per-workload
-/// measurements, the fleet sweep, and the service sweep.
-pub fn to_json_with_fleet_and_service(
-    results: &[Throughput],
-    fleet: &FleetScaling,
-    service: &ServiceScaling,
-) -> String {
-    let base = crate::fleet::to_json_with_fleet(results, fleet);
-    let cut = base
-        .rfind("  ]\n}")
-        .expect("fleet_scaling array closes the fleet document");
-    let mut out = base[..cut].to_string();
-    out.push_str("  ],\n");
-    out.push_str(&service_json_fields(
-        service,
-        vs_fleet_4x_paired(service, fleet, 2),
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// Renders the sweep as the EXPERIMENTS.md service table.
-pub fn service_to_markdown(s: &ServiceScaling) -> String {
-    let mut out = String::new();
-    out.push_str("| shards | req/s | p50 latency | p99 latency | aggregate insn/s |\n");
-    out.push_str("|---:|---:|---:|---:|---:|\n");
-    for r in &s.rows {
-        out.push_str(&format!(
-            "| {} | ~{:.0} | {:.1} ms | {:.1} ms | ~{}M |\n",
-            r.shards,
-            r.req_s(),
-            r.p50_ns as f64 / 1e6,
-            r.p99_ns as f64 / 1e6,
-            (r.agg_ips() / 1e6).round() as u64,
-        ));
-    }
-    out
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use komodo_trace::MetricsSnapshot;
 
     #[test]
     fn sweep_measures_and_work_is_shard_independent() {
         let s = service_throughput(2_000, 6, &[1, 2]);
-        assert_eq!(s.rows.len(), 2);
-        for r in &s.rows {
+        assert_eq!(s.len(), 2);
+        for r in &s {
             assert_eq!(r.completed, 6);
             assert_eq!(r.rejected, 0);
             assert_eq!(r.insns, 12_000);
@@ -290,67 +163,20 @@ mod tests {
     }
 
     #[test]
-    fn json_and_markdown_carry_the_service_fields() {
-        let s = ServiceScaling {
-            steps: 1000,
+    fn rates_use_the_fleet_basis() {
+        let r = ServiceThroughput {
+            shards: 4,
             requests: 4,
-            rows: vec![
-                ServiceThroughput {
-                    shards: 1,
-                    requests: 4,
-                    completed: 4,
-                    rejected: 0,
-                    insns: 4000,
-                    wall_s: 0.004,
-                    busy_s: 0.004,
-                    p50_ns: 1_000_000,
-                    p99_ns: 3_000_000,
-                },
-                ServiceThroughput {
-                    shards: 4,
-                    requests: 4,
-                    completed: 4,
-                    rejected: 0,
-                    insns: 4000,
-                    wall_s: 0.004,
-                    busy_s: 0.004,
-                    p50_ns: 1_000_000,
-                    p99_ns: 3_000_000,
-                },
-            ],
+            completed: 4,
+            rejected: 0,
+            insns: 4000,
+            wall_s: 0.5,
+            busy_s: 4.0,
+            p50_ns: 1_000_000,
+            p99_ns: 3_000_000,
         };
-        let f = service_json_fields(&s, 1.0);
-        assert!(f.contains("\"service_requests\": 4"));
-        assert!(f.contains("\"service_steps\": 1000"));
-        assert!(f.contains("\"service_vs_fleet_4x\": 1.00"));
-        assert!(f.contains("\"service_scaling\": ["));
-        assert!(f.contains("\"p50_us\": 1000.0"));
-        assert!(f.contains("\"p99_us\": 3000.0"));
-        assert!(f.contains("\"req_s\": 1000.0"));
-        let md = service_to_markdown(&s);
-        assert!(md.contains("| 4 | ~1000 | 1.0 ms | 3.0 ms | ~4M |"));
-        // Composed three-part document stays balanced.
-        let snap = MetricsSnapshot {
-            cycles: 10,
-            ..Default::default()
-        };
-        let fleet = FleetScaling {
-            steps: 1000,
-            jobs: 4,
-            rows: vec![crate::fleet::FleetThroughput {
-                shards: 4,
-                insns: 4000,
-                wall_s: 0.004,
-                busy_s: 0.004,
-                total: snap,
-            }],
-        };
-        let t = crate::throughput::measure("tight_loop", &crate::throughput::tight_loop(), 1_000);
-        let j = to_json_with_fleet_and_service(std::slice::from_ref(&t), &fleet, &s);
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.contains("\"fleet_scaling\": ["));
-        assert!(j.contains("\"service_scaling\": ["));
-        assert!(j.contains("\"service_vs_fleet_4x\": 1.00"));
+        assert_eq!(r.wall_rate(), 8000.0);
+        assert_eq!(r.agg_rate(), 4000.0);
     }
 
     #[test]

@@ -41,13 +41,18 @@ impl RequestRecord {
 /// Exact nearest-rank percentile over end-to-end latencies. Returns 0
 /// for an empty record set.
 pub fn percentile_ns(records: &[RequestRecord], p: f64) -> u64 {
-    if records.is_empty() {
+    nearest_rank(records.iter().map(RequestRecord::total_ns).collect(), p)
+}
+
+/// Exact nearest-rank percentile of a latency sample, in its unit.
+/// Returns 0 for an empty sample.
+pub fn nearest_rank(mut sample: Vec<u64>, p: f64) -> u64 {
+    if sample.is_empty() {
         return 0;
     }
-    let mut lat: Vec<u64> = records.iter().map(RequestRecord::total_ns).collect();
-    lat.sort_unstable();
-    let rank = ((p / 100.0) * lat.len() as f64).ceil() as usize;
-    lat[rank.clamp(1, lat.len()) - 1]
+    sample.sort_unstable();
+    let rank = ((p / 100.0) * sample.len() as f64).ceil() as usize;
+    sample[rank.clamp(1, sample.len()) - 1]
 }
 
 /// Power-of-two latency histogram: bucket `i` counts latencies in
@@ -134,6 +139,16 @@ mod tests {
         // A single record is every percentile.
         assert_eq!(percentile_ns(&[rec(3, 4)], 1.0), 7);
         assert_eq!(percentile_ns(&[rec(3, 4)], 99.0), 7);
+    }
+
+    #[test]
+    fn nearest_rank_sorts_a_raw_sample() {
+        let sample = vec![100, 90, 80, 70, 60, 50, 40, 30, 20, 10];
+        assert_eq!(nearest_rank(sample.clone(), 50.0), 50);
+        assert_eq!(nearest_rank(sample.clone(), 99.0), 100);
+        assert_eq!(nearest_rank(sample, 100.0), 100);
+        assert_eq!(nearest_rank(Vec::new(), 50.0), 0);
+        assert_eq!(nearest_rank(vec![7], 99.0), 7);
     }
 
     #[test]

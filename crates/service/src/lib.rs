@@ -20,7 +20,7 @@
 //!   platforms, including the remote-attestation handshake
 //!   ([`protocol::Attested`]) and the original key-value sessions
 //!   ([`protocol::SecretKeeper`]), with typed
-//!   [`ProtocolError`](protocol::ProtocolError)s for misuse.
+//!   [`ProtocolError`]s for misuse.
 //! - [`node`]: the node itself — admission (backpressure via the
 //!   fleet's bounded queue, typed [`Reject`]s at the door), shutdown
 //!   semantics (queued work resolves typed, never hangs), session
@@ -46,7 +46,7 @@ pub mod protocol;
 pub mod report;
 pub mod request;
 
-pub use latency::{percentile_ns, Histogram, RequestRecord};
+pub use latency::{nearest_rank, percentile_ns, Histogram, RequestRecord};
 pub use loadgen::{
     attested_mix, drive, drive_attested, drive_indexed, schedule, schedule_indexed, Arrival,
     ArrivalIdx, AttestedClient, AttestedOutcome, AttestedReport, DriveOutcome, DriveReport, Mix,

@@ -181,7 +181,7 @@ pub fn schedule(
 /// timing (except `behind_schedule`, which is 0 for unpaced drives).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DriveOutcome {
-    /// Requests that resolved to a [`Response`](crate::Response).
+    /// Requests that resolved to a [`Response`].
     pub ok: u64,
     /// Requests that resolved to a typed
     /// [`ServiceError`](crate::ServiceError).

@@ -228,7 +228,7 @@ pub enum Event {
         arg: u32,
     },
     /// A remote-attestation handshake crossed a phase boundary on a
-    /// session platform (see [`hs_phase_name`] for the phase codes).
+    /// session platform (see `hs_phase_name` for the phase codes).
     HsPhase {
         /// Phase code: 0 begin, 1 quote, 2 establish, 3 reject.
         phase: u8,

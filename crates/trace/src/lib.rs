@@ -15,7 +15,7 @@
 //! - [`FlightRecorder`] — a fixed-capacity ring buffer owned by the
 //!   machine. Capacity 0 (the default) is the disabled path: `record` is
 //!   a single branch, so the instrumented hot paths stay within the 2%
-//!   overhead contract asserted by the bench smoke. Reads never mutate
+//!   overhead contract gated by the bench run. Reads never mutate
 //!   (lock-free-to-read in the single-threaded simulator sense: any
 //!   `&self` observer — a panic hook, a divergence report — can format
 //!   the tail without stopping the writer).

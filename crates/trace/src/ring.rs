@@ -2,7 +2,7 @@
 //!
 //! Capacity 0 (the default) is the disabled path — [`FlightRecorder::record`]
 //! is then a single predictable branch, which is what keeps always-compiled
-//! instrumentation inside the bench smoke's 2% overhead budget. When
+//! instrumentation inside the gated bench run's 2% overhead budget. When
 //! enabled, the ring keeps the most recent `capacity` events and counts
 //! (but does not store) everything older, so a crash dump can say how much
 //! history was lost.
