@@ -3,17 +3,17 @@
 //! The fleet and service sweeps measure execution; this harness
 //! measures admission. The same seeded attestation-quote schedule is
 //! driven through the service front end twice — once submitting one
-//! request at a time from a single thread (the pre-sharding ingestion
-//! path), once through [`ServiceHandle::submit_batch`] from parallel
-//! submitter partitions — and the number that matters is submission
+//! request at a time from a single thread, once through
+//! [`ServiceHandle::submit_batch`] from parallel submitter partitions —
+//! and the number that matters is submission
 //! throughput: scheduled requests divided by the submit-phase wall
 //! (the [`DriveReport::submit_wall`] the driver clocks before joining
 //! tickets).
 //!
 //! The gate is the ratio at 4 shards: batched parallel submission must
 //! sustain at least 2x the single-submit request rate. The win is
-//! amortization — one timestamp, one capacity reservation pass, one
-//! result block and one worker wake per batch instead of per request —
+//! amortization — one timestamp, one queue-lock hold, one result block
+//! and one worker wake per batch instead of per request —
 //! so it holds on a single-core host too, where parallelism alone
 //! buys nothing.
 //!
@@ -61,10 +61,6 @@ pub struct IngestMeasurement {
     pub p50_ns: u64,
     /// 99th-percentile end-to-end latency, ns.
     pub p99_ns: u64,
-    /// Jobs workers claimed from their own lanes.
-    pub steal_own: u64,
-    /// Jobs workers stole from sibling shards.
-    pub steal_stolen: u64,
 }
 
 impl IngestMeasurement {
@@ -77,8 +73,7 @@ impl IngestMeasurement {
 
 /// Measures one ingestion configuration over the fixed quote schedule
 /// and asserts its conservation contract: every request completes, and
-/// each shard's job count splits exactly into own + stolen claims that
-/// sum to the schedule.
+/// the shards' job counts sum to the schedule.
 pub fn measure_ingest(
     shards: usize,
     requests: u64,
@@ -97,19 +92,10 @@ pub fn measure_ingest(
         "unbounded quote burst must complete every request"
     );
     assert_eq!(report.outcome.errors + report.outcome.rejected, 0);
-    for (i, s) in run.shards.iter().enumerate() {
-        assert_eq!(
-            s.jobs,
-            s.own + s.stolen,
-            "shard {i}: claimed jobs must split into own + stolen"
-        );
-    }
-    let steal_own: u64 = run.shards.iter().map(|s| s.own).sum();
-    let steal_stolen: u64 = run.shards.iter().map(|s| s.stolen).sum();
     assert_eq!(
-        steal_own + steal_stolen,
+        run.shards.iter().map(|s| s.jobs).sum::<u64>(),
         requests,
-        "steal accounting lost jobs"
+        "shard job counts must sum to the schedule"
     );
     IngestMeasurement {
         shards,
@@ -120,8 +106,6 @@ pub fn measure_ingest(
         wall_s: run.wall.as_secs_f64(),
         p50_ns: percentile_ns(&run.records, 50.0),
         p99_ns: percentile_ns(&run.records, 99.0),
-        steal_own,
-        steal_stolen,
     }
 }
 
@@ -170,8 +154,6 @@ mod tests {
             wall_s: submit_wall_s * 2.0,
             p50_ns: 1_000_000,
             p99_ns: 3_000_000,
-            steal_own: 900,
-            steal_stolen: 100,
         }
     }
 
@@ -196,7 +178,6 @@ mod tests {
         assert!(c.single.submit_wall_s > 0.0);
         assert!(c.batched.submit_wall_s > 0.0);
         assert!(c.single.wall_s >= c.single.submit_wall_s);
-        assert_eq!(c.batched.steal_own + c.batched.steal_stolen, 64);
         assert!(c.batched.p99_ns >= c.batched.p50_ns);
         assert!(c.batch_over_single() > 0.0);
     }

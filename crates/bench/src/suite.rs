@@ -234,7 +234,7 @@ fn ingest(r: &mut Report, z: &Sizes) {
     r.fact("ingest.shards", shards);
     r.fact("ingest.submitters", submitters);
     r.fact("ingest.batch", batch);
-    let series: [Series<IngestComparison>; 6] = [
+    let series: [Series<IngestComparison>; 5] = [
         ("single_submit_rps", "req/s", |c| c.single.submit_rps()),
         ("batched_submit_rps", "req/s", |c| c.batched.submit_rps()),
         (
@@ -244,7 +244,6 @@ fn ingest(r: &mut Report, z: &Sizes) {
         ),
         ("p50_ms", "ms", |c| c.batched.p50_ns as f64 / 1e6),
         ("p99_ms", "ms", |c| c.batched.p99_ns as f64 / 1e6),
-        ("stolen", "jobs", |c| c.batched.steal_stolen as f64),
     ];
     r.series("ingest", reps.iter(), &series);
 }

@@ -1,5 +1,5 @@
-//! The sharded scheduler: worker threads with pooled platforms pulling
-//! jobs from per-worker sharded lanes with work stealing.
+//! The fleet scheduler: worker threads with pooled platforms pulling
+//! jobs from one shared class-lane queue.
 //!
 //! Ownership story: each worker thread *owns* at most one [`Platform`]
 //! (lazily booted on first use, recycled between jobs), so no platform
@@ -8,54 +8,49 @@
 //! through typed [`JobHandle`]s. Per-shard counter snapshots fold into a
 //! [`FleetMetrics`] when the run finishes.
 //!
-//! Queue topology: instead of one central mutex-guarded queue, every
-//! shard owns a lock of its own holding three class lanes. Submissions
-//! round-robin across shards; a worker drains its *own* lanes first
-//! (highest class first, FIFO within a class), then *steals* from
-//! siblings — scanning classes in priority order and, within a class,
-//! taking the oldest (lowest-index) queued job across all sibling
-//! shards. Class priority (control > interactive > batch) therefore
-//! holds globally even though no single lock serializes the fleet: a
-//! worker never dispatches a batch job while any shard holds queued
-//! control work it could see. [`Fleet::try_submit_batch`] enqueues N
-//! classed jobs under one pass that takes each involved shard lock once,
-//! assigns all indices contiguously in item order, and wakes workers
-//! once — the amortization that makes high-rate ingestion scale.
+//! Queue: one mutex over three class lanes (control, interactive,
+//! batch), the next job index and a closed flag, plus one condvar idle
+//! workers wait on. A worker takes the front of the highest non-empty
+//! class, so dispatch is class-then-index across the whole fleet. Every
+//! submission is a batch: [`Fleet::try_submit_batch`] admits N classed
+//! jobs under one lock hold, assigns their indices contiguously in item
+//! order, shares one result block among them and wakes workers once;
+//! [`Fleet::try_submit`] is a batch of one. Platforms are independent,
+//! so the queue only has to hand jobs out in order: its lock is held
+//! for a few pointer moves per job, far below the simulated work a job
+//! does.
 //!
 //! Submission is classed ([`Class`]): control-plane jobs are always
 //! dispatched before interactive ones, which precede batch work. The
 //! queue may be bounded ([`FleetConfig::with_queue_capacity`]): a full
 //! queue *rejects* data-plane submissions with [`SubmitError::Full`]
 //! instead of growing without limit — the backpressure surface the
-//! service node builds on. The bound is enforced by an atomic
-//! reservation (never overshoots, never double-counts). Submitting
-//! after the fleet shut its queue is a hard [`SubmitError::Closed`]
-//! error in every build.
+//! service node builds on. Admission is decided under the queue lock,
+//! so concurrent submitters never overshoot the bound. Submitting after
+//! the fleet shut its queue is a hard [`SubmitError::Closed`] error in
+//! every build.
 //!
 //! Liveness contract: [`JobHandle::join`] always wakes. A job's result
-//! slot is completed by the job itself (value or caught panic), or — if
+//! cell is completed by the job itself (value or caught panic), or — if
 //! the job never runs because its worker died mid-queue or the fleet
 //! tore down around it — by the completion guard that every queued task
-//! carries, which fills the slot with a [`JobPanic`] when the task is
-//! dropped unexecuted. Shutdown is race-free across shards: `close`
-//! publishes the flag and then passes every shard lock, so a worker only
-//! exits after verifying *under all shard locks at once* that no
-//! accepted job remains anywhere.
+//! carries, which fills the cell with a [`JobPanic`] when the task is
+//! dropped unexecuted. Shutdown is race-free: `close` sets the flag
+//! under the queue lock, so a submission either lands before it (and is
+//! drained) or sees it (and is refused), and a worker exits only once
+//! the queue is closed *and* empty.
 //!
 //! Determinism contract: a job's *result* may depend only on its index
 //! and derived seed ([`PlatformConfig::derive_seed`]), never on which
-//! shard runs it or whether it was stolen — the scheduler guarantees the
-//! platform a job sees is bit-for-bit a fresh boot with the job's seed,
-//! whichever worker picks it up and whatever ran there before. Which
-//! *shard* a job lands on is scheduling noise, so the per-shard metric
-//! split varies run to run, but the summed totals are shard-count
-//! independent. Batch submission assigns indices in item order while
-//! holding every involved shard lock, so the request→index mapping is
-//! identical at any shard count.
+//! shard runs it — the scheduler guarantees the platform a job sees is
+//! bit-for-bit a fresh boot with the job's seed, whichever worker picks
+//! it up and whatever ran there before. Which *shard* a job lands on is
+//! scheduling noise, so the per-shard metric split varies run to run,
+//! but the summed totals are shard-count independent, and so is the
+//! request→index mapping of a batch.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -68,7 +63,7 @@ use crate::panic_msg::panic_message;
 /// Poison-tolerant lock: a panic on another thread while it held this
 /// mutex must not cascade into opaque `PoisonError` panics here. Every
 /// shared structure in this module keeps itself consistent across
-/// unwinds — slot results are single-assignment, lane mutations
+/// unwinds — result cells are single-assignment, lane mutations
 /// (push/pop) complete before the guard drops — so the data under a
 /// poisoned lock is always safe to keep using; poisoning only tells us
 /// a panic happened elsewhere, and the fleet already surfaces panics
@@ -239,56 +234,32 @@ pub const ABANDONED: &str = "job abandoned: worker or fleet tore down before it 
 /// What a job hands back: its value, or the panic that ended it.
 pub type JobResult<T> = Result<T, JobPanic>;
 
-struct Slot<T> {
-    result: Mutex<Option<JobResult<T>>>,
-    done: Condvar,
-}
-
 /// Shared result storage for one submitted batch: one allocation and one
-/// mutex/condvar pair for N jobs, instead of one `Arc<Slot>` each. Every
-/// joiner waits on the shared condvar and re-checks only its own cell;
-/// completions are single-assignment per cell.
-struct SlotBlock<T> {
+/// mutex/condvar pair for N jobs. Every joiner waits on the shared
+/// condvar and re-checks only its own cell; completions are
+/// single-assignment per cell.
+struct ResultBlock<T> {
     results: Mutex<Vec<Option<JobResult<T>>>>,
     done: Condvar,
 }
 
-/// Where one job's result lives: its own slot (single submission) or a
-/// cell in a batch's shared [`SlotBlock`].
-enum SlotRef<T> {
-    Single(Arc<Slot<T>>),
-    Block(Arc<SlotBlock<T>>, usize),
-}
-
-impl<T> SlotRef<T> {
-    fn fill(&self, r: JobResult<T>) {
-        match self {
-            SlotRef::Single(s) => {
-                *lock_unpoisoned(&s.result) = Some(r);
-                s.done.notify_all();
-            }
-            SlotRef::Block(b, at) => {
-                lock_unpoisoned(&b.results)[*at] = Some(r);
-                b.done.notify_all();
-            }
-        }
-    }
-}
-
-/// Completion guard: fills the job's result slot exactly once. The task
+/// Completion guard: fills one job's result cell exactly once. The task
 /// closure completes it with the job's outcome; if the task is instead
 /// *dropped* unexecuted — its worker thread died between claiming it and
-/// running it, or the fleet tore down with the job still queued — the
-/// guard's `Drop` completes the slot with a [`JobPanic`] so the joiner
-/// always wakes instead of blocking forever on a slot nobody will fill.
+/// running it, the fleet tore down with the job still queued, or the
+/// queue refused it — the guard's `Drop` completes the cell with a
+/// [`JobPanic`] so a joiner always wakes instead of blocking forever on
+/// a cell nobody will fill.
 struct Completion<T> {
-    slot: SlotRef<T>,
+    block: Arc<ResultBlock<T>>,
+    at: usize,
     filled: bool,
 }
 
 impl<T> Completion<T> {
-    fn complete(mut self, r: JobResult<T>) {
-        self.slot.fill(r);
+    fn fill(&mut self, r: JobResult<T>) {
+        lock_unpoisoned(&self.block.results)[self.at] = Some(r);
+        self.block.done.notify_all();
         self.filled = true;
     }
 }
@@ -296,7 +267,7 @@ impl<T> Completion<T> {
 impl<T> Drop for Completion<T> {
     fn drop(&mut self) {
         if !self.filled {
-            self.slot.fill(Err(JobPanic {
+            self.fill(Err(JobPanic {
                 message: ABANDONED.to_string(),
             }));
         }
@@ -305,7 +276,8 @@ impl<T> Drop for Completion<T> {
 
 /// Typed handle to one submitted job's eventual result.
 pub struct JobHandle<T> {
-    slot: SlotRef<T>,
+    block: Arc<ResultBlock<T>>,
+    at: usize,
     job: u64,
 }
 
@@ -322,385 +294,131 @@ impl<T> JobHandle<T> {
     /// worker died before running it yields `Err` with [`ABANDONED`] —
     /// the completion guard guarantees this join never hangs.
     pub fn join(self) -> JobResult<T> {
-        match self.slot {
-            SlotRef::Single(s) => {
-                let mut r = lock_unpoisoned(&s.result);
-                loop {
-                    if let Some(v) = r.take() {
-                        return v;
-                    }
-                    r = wait_unpoisoned(&s.done, r);
-                }
+        let mut r = lock_unpoisoned(&self.block.results);
+        loop {
+            if let Some(v) = r[self.at].take() {
+                return v;
             }
-            SlotRef::Block(b, at) => {
-                let mut r = lock_unpoisoned(&b.results);
-                loop {
-                    if let Some(v) = r[at].take() {
-                        return v;
-                    }
-                    r = wait_unpoisoned(&b.done, r);
-                }
-            }
+            r = wait_unpoisoned(&self.block.done, r);
         }
     }
 }
 
-/// A queued task: type-erased job closure, paired with its index. The
-/// closure owns a [`Completion`]; dropping it unexecuted resolves the
-/// job as abandoned.
+/// A queued task: type-erased job closure. The closure owns a
+/// [`Completion`]; dropping it unexecuted resolves the job as abandoned.
 type Task<'env> = Box<dyn FnOnce(&mut ShardCtx<'_>) + Send + 'env>;
 
-/// One shard's share of the queue: a FIFO lane per [`Class`], indexed
-/// by `Class::lane()`, guarded by its own mutex.
-struct ShardLanes<'env> {
+/// Everything under the queue lock.
+struct Lanes<'env> {
+    /// One FIFO per [`Class`], indexed by `Class::lane()`; each holds
+    /// (job index, task) in increasing index order.
     lanes: [VecDeque<(u64, Task<'env>)>; 3],
+    /// The next job index: jobs accepted so far.
+    next: u64,
+    closed: bool,
 }
 
-impl ShardLanes<'_> {
-    fn is_empty(&self) -> bool {
-        self.lanes.iter().all(VecDeque::is_empty)
+impl Lanes<'_> {
+    /// Accepted jobs not yet claimed by a worker, control included.
+    fn queued(&self) -> usize {
+        self.lanes.iter().map(VecDeque::len).sum()
     }
 }
 
-/// What one steal scan produced.
-enum Steal<'env> {
-    /// Claimed a job from a sibling shard.
-    Got(u64, Task<'env>),
-    /// Saw a candidate but lost the pop race; rescan from the top.
-    Race,
-    /// No sibling shard holds visible work.
-    Empty,
-}
-
-/// The sharded work queue. Accounting lives in atomics; only the lanes
-/// themselves sit behind (per-shard) locks:
-///
-/// - `pending` counts accepted-but-unclaimed jobs and doubles as the
-///   capacity reservation counter: a data-plane submit reserves via CAS
-///   *before* pushing, so a bounded queue never overshoots its bound
-///   even under concurrent submitters.
-/// - `submitted` hands out job indices; it is only advanced while the
-///   target shard lock (or, for batches, every involved shard lock) is
-///   held, so within any one lane indices are strictly increasing —
-///   which is what makes oldest-first stealing well-defined by peeking
-///   lane fronts.
-/// - The sleep protocol (`sleeping` + the `sleep` mutex + `ready`)
-///   never loses a wakeup: a worker advertises itself in `sleeping`
-///   while holding `sleep` and re-checks for work before waiting; a
-///   submitter bumps `pending` first, then (seeing a sleeper) passes
-///   through `sleep` before notifying. In the total order of these
-///   seq-cst operations, either the sleeper sees the new `pending` or
-///   the submitter sees the sleeper — never neither.
+/// The fleet's work queue: one lock, one condvar for idle workers, and
+/// the optional bound on queued data-plane jobs.
 struct Queue<'env> {
-    shards: Vec<Mutex<ShardLanes<'env>>>,
-    /// Accepted, not yet claimed by a worker (includes capacity
-    /// reservations in flight).
-    pending: AtomicUsize,
-    /// Jobs accepted so far; the next job index.
-    submitted: AtomicU64,
-    closed: AtomicBool,
-    /// Round-robin cursor for shard placement.
-    rr: AtomicUsize,
-    /// Companion mutex for the sleep protocol; holds no data.
-    sleep: Mutex<()>,
+    state: Mutex<Lanes<'env>>,
     ready: Condvar,
-    /// Workers currently inside (or entering) a condvar wait.
-    sleeping: AtomicUsize,
     capacity: Option<usize>,
 }
 
-fn empty_lanes<'env>() -> ShardLanes<'env> {
-    ShardLanes {
-        lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-    }
-}
-
 impl<'env> Queue<'env> {
-    fn new(shards: usize, capacity: Option<usize>) -> Self {
+    fn new(capacity: Option<usize>) -> Self {
         Queue {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(empty_lanes()))
-                .collect(),
-            pending: AtomicUsize::new(0),
-            submitted: AtomicU64::new(0),
-            closed: AtomicBool::new(false),
-            rr: AtomicUsize::new(0),
-            sleep: Mutex::new(()),
+            state: Mutex::new(Lanes {
+                lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
+                next: 0,
+                closed: false,
+            }),
             ready: Condvar::new(),
-            sleeping: AtomicUsize::new(0),
             capacity,
         }
     }
 
-    /// Reserves queue occupancy for up to `want` data-plane jobs,
-    /// returning how many fit under the bound (all of them when
-    /// unbounded). The reservation is taken before any push, so
-    /// concurrent submitters can never overshoot a bounded queue; a
-    /// reservation that is later abandoned (close raced the push) must
-    /// be released with `unreserve`.
-    fn reserve_data(&self, want: usize) -> usize {
-        match self.capacity {
-            None => {
-                self.pending.fetch_add(want, SeqCst);
-                want
-            }
-            Some(cap) => {
-                let mut p = self.pending.load(SeqCst);
-                loop {
-                    let take = want.min(cap.saturating_sub(p));
-                    if take == 0 {
-                        return 0;
-                    }
-                    match self.pending.compare_exchange(p, p + take, SeqCst, SeqCst) {
-                        Ok(_) => return take,
-                        Err(cur) => p = cur,
-                    }
-                }
-            }
-        }
-    }
-
-    fn unreserve(&self, n: usize) {
-        if n > 0 {
-            self.pending.fetch_sub(n, SeqCst);
-        }
-    }
-
-    /// Wakes workers for `n` newly queued jobs. The empty pass through
-    /// the `sleep` mutex serializes with sleepers that advertised
-    /// themselves but have not yet entered the wait — see the protocol
-    /// note on [`Queue`].
-    fn wake(&self, n: usize) {
-        if n == 0 || self.sleeping.load(SeqCst) == 0 {
-            return;
-        }
-        drop(lock_unpoisoned(&self.sleep));
-        if n == 1 {
-            self.ready.notify_one();
-        } else {
-            self.ready.notify_all();
-        }
-    }
-
-    /// Enqueues a task, assigning and returning its job index. Refuses
-    /// with a hard error in every build when the queue is closed, and
-    /// with [`SubmitError::Full`] when a bounded queue is at capacity
-    /// (control-class jobs are exempt from the bound). A refused task is
-    /// dropped here, which is harmless: the completion guard inside the
-    /// task resolves the (never-returned) handle as abandoned.
-    fn push(&self, class: Class, task: Task<'env>) -> Result<u64, SubmitError> {
-        if self.closed.load(SeqCst) {
-            return Err(SubmitError::Closed);
-        }
-        let target = self.rr.fetch_add(1, SeqCst) % self.shards.len();
-        let mut s = lock_unpoisoned(&self.shards[target]);
-        // Re-check under the shard lock: `close` passes every shard
-        // lock after setting the flag, so a push that got here before
-        // the close is completed before workers decide to exit, and one
-        // that got here after sees the flag.
-        if self.closed.load(SeqCst) {
-            return Err(SubmitError::Closed);
-        }
-        if class == Class::Control {
-            self.pending.fetch_add(1, SeqCst);
-        } else if self.reserve_data(1) == 0 {
-            let cap = self.capacity.expect("reserve only fails when bounded");
-            return Err(SubmitError::Full { capacity: cap });
-        }
-        let job = self.submitted.fetch_add(1, SeqCst);
-        s.lanes[class.lane()].push_back((job, task));
-        drop(s);
-        self.wake(1);
-        Ok(job)
-    }
-
-    /// Enqueues a batch of classed tasks under one pass: one capacity
-    /// reservation, every involved shard lock taken once (in ascending
-    /// order), indices assigned contiguously in item order, and one
-    /// wake. Per-item outcomes mirror [`Queue::push`]: data-plane items
-    /// beyond the capacity reservation are refused `Full` (the accepted
-    /// ones are the earliest in item order), and a close that raced the
-    /// batch refuses every item `Closed`.
-    ///
-    /// Index assignment is in item order regardless of shard count, so
-    /// a batch's request→index (and therefore request→seed) mapping is
-    /// identical at 1 shard and N shards — the determinism contract the
-    /// service layer relies on.
+    /// Enqueues classed tasks under one lock hold, returning one outcome
+    /// per item in item order. A closed queue refuses every item
+    /// [`SubmitError::Closed`]. On a bounded queue the data-plane items
+    /// that fit under the bound — the earliest in item order — are
+    /// admitted and the rest refused [`SubmitError::Full`]; control
+    /// items count toward occupancy but are never refused. Accepted
+    /// items get contiguous indices in item order, so a batch's
+    /// request→index (and therefore request→seed) mapping is identical
+    /// at any shard count. A refused task is dropped after the lock is
+    /// released; its completion guard resolves the never-returned handle
+    /// as abandoned.
     fn push_batch(&self, items: Vec<(Class, Task<'env>)>) -> Vec<Result<u64, SubmitError>> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        if self.closed.load(SeqCst) {
+        let mut refused = Vec::new();
+        let mut q = lock_unpoisoned(&self.state);
+        if q.closed {
             return items.iter().map(|_| Err(SubmitError::Closed)).collect();
         }
-        let n = self.shards.len();
-        let data_total = items.iter().filter(|(c, _)| *c != Class::Control).count();
-        let ctrl_total = items.len() - data_total;
-        let data_take = self.reserve_data(data_total);
-        if ctrl_total > 0 {
-            self.pending.fetch_add(ctrl_total, SeqCst);
+        let capacity = self.capacity.unwrap_or(usize::MAX);
+        let mut room = capacity.saturating_sub(q.queued());
+        let mut accepted = 0;
+        let out = items
+            .into_iter()
+            .map(|(class, task)| {
+                if class != Class::Control {
+                    if room == 0 {
+                        refused.push(task);
+                        return Err(SubmitError::Full { capacity });
+                    }
+                    room -= 1;
+                }
+                let job = q.next;
+                q.next += 1;
+                q.lanes[class.lane()].push_back((job, task));
+                accepted += 1;
+                Ok(job)
+            })
+            .collect();
+        drop(q);
+        match accepted {
+            0 => {}
+            1 => self.ready.notify_one(),
+            _ => self.ready.notify_all(),
         }
-        let accepted = ctrl_total + data_take;
-        if accepted == 0 {
-            let cap = self.capacity.expect("reserve only fails when bounded");
-            return items
-                .iter()
-                .map(|_| Err(SubmitError::Full { capacity: cap }))
-                .collect();
-        }
-        // Ascending-order multi-lock: same order as the worker exit
-        // check and (trivially) `close`, so no deadlock. Holding every
-        // shard lock while assigning the index block keeps per-lane
-        // index order strict even against concurrent single pushes.
-        let mut guards: Vec<_> = self.shards.iter().map(lock_unpoisoned).collect();
-        if self.closed.load(SeqCst) {
-            drop(guards);
-            self.unreserve(accepted);
-            return items.iter().map(|_| Err(SubmitError::Closed)).collect();
-        }
-        let base_shard = self.rr.fetch_add(accepted, SeqCst);
-        let base_idx = self.submitted.fetch_add(accepted as u64, SeqCst);
-        let cap = self.capacity.unwrap_or(usize::MAX);
-        let mut out = Vec::with_capacity(items.len());
-        let mut placed = 0usize;
-        let mut data_used = 0usize;
-        for (class, task) in items {
-            let admit = if class == Class::Control {
-                true
-            } else if data_used < data_take {
-                data_used += 1;
-                true
-            } else {
-                false
-            };
-            if !admit {
-                out.push(Err(SubmitError::Full { capacity: cap }));
-                continue;
-            }
-            let job = base_idx + placed as u64;
-            let shard = (base_shard + placed) % n;
-            guards[shard].lanes[class.lane()].push_back((job, task));
-            placed += 1;
-            out.push(Ok(job));
-        }
-        debug_assert_eq!(placed, accepted);
-        drop(guards);
-        self.wake(placed);
         out
     }
 
-    /// One steal scan on behalf of worker `me`: classes in priority
-    /// order; within a class, the oldest (lowest-index) front across
-    /// all sibling shards. Locks are taken one shard at a time, so a
-    /// peeked candidate can be claimed by its owner (or another thief)
-    /// before we pop it — that is reported as [`Steal::Race`] and the
-    /// caller rescans.
-    fn try_steal(&self, me: usize) -> Steal<'env> {
-        for lane in 0..3 {
-            let mut best: Option<(usize, u64)> = None;
-            for (v, shard) in self.shards.iter().enumerate() {
-                if v == me {
-                    continue;
-                }
-                let s = lock_unpoisoned(shard);
-                if let Some(front) = s.lanes[lane].front() {
-                    let idx = front.0;
-                    if best.is_none_or(|(_, b)| idx < b) {
-                        best = Some((v, idx));
-                    }
-                }
-            }
-            if let Some((v, _)) = best {
-                let mut s = lock_unpoisoned(&self.shards[v]);
-                return match s.lanes[lane].pop_front() {
-                    Some((job, task)) => {
-                        self.pending.fetch_sub(1, SeqCst);
-                        Steal::Got(job, task)
-                    }
-                    None => Steal::Race,
-                };
-            }
-        }
-        Steal::Empty
-    }
-
-    /// Claims the next task for worker `me` — own lanes first (highest
-    /// class first, FIFO within a class), then stealing oldest-first
-    /// from siblings — blocking while the queue is open and empty.
-    /// After close, drains the backlog and then returns `None`; the
-    /// all-shard emptiness check under every lock guarantees no
-    /// accepted job is ever abandoned by an early exit. The returned
-    /// flag is true when the job was stolen from a sibling shard.
-    fn pop(&self, me: usize) -> Option<(u64, Task<'env>, bool)> {
+    /// Claims the next task — the front of the highest non-empty class —
+    /// blocking while the queue is open and empty. After close, drains
+    /// the backlog and then returns `None`.
+    fn pop(&self) -> Option<(u64, Task<'env>)> {
+        let mut q = lock_unpoisoned(&self.state);
         loop {
-            {
-                let mut s = lock_unpoisoned(&self.shards[me]);
-                if let Some((job, task)) = s.lanes.iter_mut().find_map(VecDeque::pop_front) {
-                    self.pending.fetch_sub(1, SeqCst);
-                    return Some((job, task, false));
-                }
+            if let Some(next) = q.lanes.iter_mut().find_map(VecDeque::pop_front) {
+                return Some(next);
             }
-            if self.shards.len() > 1 && self.pending.load(SeqCst) > 0 {
-                match self.try_steal(me) {
-                    Steal::Got(job, task) => return Some((job, task, true)),
-                    Steal::Race => continue,
-                    Steal::Empty => {}
-                }
+            if q.closed {
+                return None;
             }
-            if self.closed.load(SeqCst) {
-                // Exit decision under every shard lock at once: any
-                // in-flight push either completed (we see its task) or
-                // will observe `closed` under its shard lock and refuse.
-                let guards: Vec<_> = self.shards.iter().map(lock_unpoisoned).collect();
-                if guards.iter().all(|g| g.is_empty()) {
-                    return None;
-                }
-                drop(guards);
-                continue;
-            }
-            if self.pending.load(SeqCst) > 0 {
-                // A submitter holds a reservation it has not pushed yet
-                // (or a racing claim emptied what we saw). Let it run,
-                // then rescan.
-                std::thread::yield_now();
-                continue;
-            }
-            let guard = lock_unpoisoned(&self.sleep);
-            self.sleeping.fetch_add(1, SeqCst);
-            // Re-check before committing to the wait: a submitter that
-            // missed us in `sleeping` must have already bumped
-            // `pending` (or set `closed`) — seq-cst total order
-            // guarantees we see it here.
-            if self.pending.load(SeqCst) == 0 && !self.closed.load(SeqCst) {
-                let guard = wait_unpoisoned(&self.ready, guard);
-                self.sleeping.fetch_sub(1, SeqCst);
-                drop(guard);
-            } else {
-                self.sleeping.fetch_sub(1, SeqCst);
-                drop(guard);
-            }
+            q = wait_unpoisoned(&self.ready, q);
         }
     }
 
     fn close(&self) {
-        self.closed.store(true, SeqCst);
-        // Pass every shard lock: serializes with in-flight pushes that
-        // read `closed == false` before the store (their push completes
-        // before we pass their shard, and workers cannot conclude
-        // emptiness without these locks either).
-        for shard in &self.shards {
-            drop(lock_unpoisoned(shard));
-        }
-        drop(lock_unpoisoned(&self.sleep));
+        lock_unpoisoned(&self.state).closed = true;
         self.ready.notify_all();
     }
 
     fn submitted(&self) -> u64 {
-        self.submitted.load(SeqCst)
+        lock_unpoisoned(&self.state).next
     }
 
     fn queued_len(&self) -> usize {
-        self.pending.load(SeqCst)
+        lock_unpoisoned(&self.state).queued()
     }
 }
 
@@ -711,8 +429,6 @@ struct ShardState {
     platform: Option<Platform>,
     metrics: MetricsSnapshot,
     jobs: u64,
-    own: u64,
-    stolen: u64,
     boots: u64,
     resets: u64,
     busy_ns: u64,
@@ -785,11 +501,12 @@ impl ShardCtx<'_> {
 /// Per-shard accounting for one fleet run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardStats {
-    /// Jobs this shard executed (`own + stolen`).
+    /// Jobs this shard executed.
     pub jobs: u64,
-    /// Jobs claimed from this worker's own lanes.
-    pub own: u64,
-    /// Jobs stolen from sibling shards' lanes.
+    /// Always 0: every worker claims from the one shared queue, so no
+    /// job is ever taken from a sibling. Kept so readers of the former
+    /// work-stealing split (a `stolen / jobs` share) still build and
+    /// read 0.
     pub stolen: u64,
     /// Platforms constructed from scratch.
     pub boots: u64,
@@ -823,16 +540,6 @@ impl<R> FleetRun<R> {
     pub fn busy_ns(&self) -> u64 {
         self.shards.iter().map(|s| s.busy_ns).sum()
     }
-
-    /// Jobs dispatched from the claiming worker's own lanes, summed.
-    pub fn own_jobs(&self) -> u64 {
-        self.shards.iter().map(|s| s.own).sum()
-    }
-
-    /// Jobs stolen across shards, summed.
-    pub fn stolen_jobs(&self) -> u64 {
-        self.shards.iter().map(|s| s.stolen).sum()
-    }
 }
 
 /// The submission interface the body closure drives. Submit jobs, keep
@@ -851,47 +558,28 @@ impl<'env> Fleet<'_, 'env> {
     /// The closure runs exactly once on some shard, receives that
     /// shard's [`ShardCtx`], and may return any `Send` value. Panics
     /// inside the job are caught and surface as `Err(JobPanic)` from
-    /// [`JobHandle::join`]; other jobs are unaffected.
+    /// [`JobHandle::join`]; other jobs are unaffected. A batch of one
+    /// through [`Fleet::try_submit_batch`].
     pub fn try_submit<T, F>(&self, class: Class, f: F) -> Result<JobHandle<T>, SubmitError>
     where
         T: Send + 'env,
         F: FnOnce(&mut ShardCtx<'_>) -> T + Send + 'env,
     {
-        let slot = Arc::new(Slot {
-            result: Mutex::new(None),
-            done: Condvar::new(),
-        });
-        let completion = Completion {
-            slot: SlotRef::Single(Arc::clone(&slot)),
-            filled: false,
-        };
-        let job = self.queue.push(
-            class,
-            Box::new(move |ctx| {
-                let result = catch_unwind(AssertUnwindSafe(|| f(ctx))).map_err(|p| JobPanic {
-                    message: panic_message(p),
-                });
-                completion.complete(result);
-            }),
-        )?;
-        Ok(JobHandle {
-            slot: SlotRef::Single(slot),
-            job,
-        })
+        let mut one = self.try_submit_batch(vec![(class, f)]);
+        one.pop().expect("one outcome per submitted job")
     }
 
-    /// Submits a batch of classed jobs in one queue pass: one capacity
-    /// reservation, one traversal of the shard locks, one result-block
-    /// allocation shared by the whole batch, and one worker wake —
-    /// the per-job constant costs of [`Fleet::try_submit`] amortized
+    /// Submits a batch of classed jobs in one queue pass: one lock hold,
+    /// one result-block allocation shared by the whole batch, and one
+    /// worker wake — the per-job constant costs of submission amortized
     /// over N jobs. Returns one `Result` per job, in item order;
     /// accepted jobs get contiguous indices assigned in item order
     /// (identical at any shard count), rejected ones consumed no index.
     ///
-    /// Admission matches `try_submit` per item: on a bounded queue the
-    /// earliest data-plane items fill the remaining capacity and the
-    /// rest are refused [`SubmitError::Full`]; control items are exempt
-    /// from the bound; a close refuses the whole batch.
+    /// Admission is per item: on a bounded queue the earliest data-plane
+    /// items fill the remaining capacity and the rest are refused
+    /// [`SubmitError::Full`]; control items are exempt from the bound; a
+    /// close refuses the whole batch.
     pub fn try_submit_batch<T, F>(
         &self,
         jobs: Vec<(Class, F)>,
@@ -903,7 +591,7 @@ impl<'env> Fleet<'_, 'env> {
         if jobs.is_empty() {
             return Vec::new();
         }
-        let block = Arc::new(SlotBlock {
+        let block = Arc::new(ResultBlock {
             results: Mutex::new((0..jobs.len()).map(|_| None).collect()),
             done: Condvar::new(),
         });
@@ -911,15 +599,16 @@ impl<'env> Fleet<'_, 'env> {
             .into_iter()
             .enumerate()
             .map(|(at, (class, f))| {
-                let completion = Completion {
-                    slot: SlotRef::Block(Arc::clone(&block), at),
+                let mut completion = Completion {
+                    block: Arc::clone(&block),
+                    at,
                     filled: false,
                 };
                 let task: Task<'env> = Box::new(move |ctx| {
                     let result = catch_unwind(AssertUnwindSafe(|| f(ctx))).map_err(|p| JobPanic {
                         message: panic_message(p),
                     });
-                    completion.complete(result);
+                    completion.fill(result);
                 });
                 (class, task)
             })
@@ -930,7 +619,8 @@ impl<'env> Fleet<'_, 'env> {
             .enumerate()
             .map(|(at, r)| {
                 r.map(|job| JobHandle {
-                    slot: SlotRef::Block(Arc::clone(&block), at),
+                    block: Arc::clone(&block),
+                    at,
                     job,
                 })
             })
@@ -1008,13 +698,11 @@ fn worker(queue: &Queue<'_>, cfg: &FleetConfig, shard: usize) -> ShardState {
         platform: None,
         metrics: MetricsSnapshot::default(),
         jobs: 0,
-        own: 0,
-        stolen: 0,
         boots: 0,
         resets: 0,
         busy_ns: 0,
     };
-    while let Some((job, task, stolen)) = queue.pop(shard) {
+    while let Some((job, task)) = queue.pop() {
         let t0 = Instant::now();
         let seed = cfg.platform.derive_seed(job);
         let mut ctx = ShardCtx {
@@ -1027,11 +715,6 @@ fn worker(queue: &Queue<'_>, cfg: &FleetConfig, shard: usize) -> ShardState {
         task(&mut ctx);
         let used = ctx.used;
         state.jobs += 1;
-        if stolen {
-            state.stolen += 1;
-        } else {
-            state.own += 1;
-        }
         if used {
             // The platform was fresh at job start, so its counters are
             // exactly this job's work: fold the full snapshot. Folding
@@ -1067,7 +750,7 @@ fn worker(queue: &Queue<'_>, cfg: &FleetConfig, shard: usize) -> ShardState {
 /// cleanly, and the panic then resumes.
 pub fn run<'env, R>(cfg: FleetConfig, body: impl FnOnce(&Fleet<'_, 'env>) -> R) -> FleetRun<R> {
     let shards = cfg.shards.max(1);
-    let queue = Queue::new(shards, cfg.queue_capacity);
+    let queue = Queue::new(cfg.queue_capacity);
     let t0 = Instant::now();
     let (value, states) = std::thread::scope(|s| {
         let handles: Vec<_> = (0..shards)
@@ -1095,8 +778,7 @@ pub fn run<'env, R>(cfg: FleetConfig, body: impl FnOnce(&Fleet<'_, 'env>) -> R) 
         .iter()
         .map(|s| ShardStats {
             jobs: s.jobs,
-            own: s.own,
-            stolen: s.stolen,
+            stolen: 0,
             boots: s.boots,
             resets: s.resets,
             busy_ns: s.busy_ns,
@@ -1168,8 +850,6 @@ mod tests {
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         assert_eq!(r.jobs, 64);
         assert_eq!(r.shards.iter().map(|s| s.jobs).sum::<u64>(), 64);
-        // Every dispatch was either an own-lane claim or a steal.
-        assert_eq!(r.own_jobs() + r.stolen_jobs(), 64);
     }
 
     #[test]
@@ -1191,7 +871,7 @@ mod tests {
         });
         assert_eq!(r.value, (0..32).map(|i| i * 3).collect::<Vec<u64>>());
         assert_eq!(r.jobs, 32);
-        assert_eq!(r.own_jobs() + r.stolen_jobs(), 32);
+        assert_eq!(r.shards.iter().map(|s| s.jobs).sum::<u64>(), 32);
     }
 
     /// White-box: a bounded queue admits the earliest data-plane prefix
@@ -1199,7 +879,7 @@ mod tests {
     /// control items.
     #[test]
     fn batch_on_a_bounded_queue_admits_a_prefix() {
-        let q: Queue<'_> = Queue::new(1, Some(2));
+        let q: Queue<'_> = Queue::new(Some(2));
         let fleet = bare_fleet(&q);
         fn own_index(ctx: &mut ShardCtx<'_>) -> u64 {
             ctx.job_index()
@@ -1232,42 +912,125 @@ mod tests {
         assert_eq!(q.queued_len(), 3);
     }
 
-    /// White-box steal order: an idle worker whose own lanes are empty
-    /// steals classes in priority order and, within a class, the oldest
-    /// job across all sibling shards.
+    /// White-box dispatch order: workers share one queue, so dispatch
+    /// is class-then-index fleet-wide — every queued control job before
+    /// any interactive one before any batch job, and within a class the
+    /// lowest index first, however the jobs were submitted.
     #[test]
-    fn steals_highest_class_then_oldest_first() {
-        let q: Queue<'_> = Queue::new(3, None);
+    fn dispatch_is_class_then_index_fleet_wide() {
+        let q: Queue<'_> = Queue::new(None);
         let fleet = bare_fleet(&q);
-        // Round-robin placement is deterministic from rr = 0:
-        // j0→shard0, j1→shard1, j2→shard2, j3→shard0, j4→shard1, j5→shard2.
         fleet.try_submit::<u64, _>(Class::Batch, |_| 0).unwrap();
         fleet
             .try_submit::<u64, _>(Class::Interactive, |_| 1)
             .unwrap();
-        fleet.try_submit::<u64, _>(Class::Batch, |_| 2).unwrap();
-        fleet.try_submit::<u64, _>(Class::Batch, |_| 3).unwrap();
-        fleet.try_submit::<u64, _>(Class::Control, |_| 4).unwrap();
-        fleet.try_submit::<u64, _>(Class::Batch, |_| 5).unwrap();
+        fn nothing(_: &mut ShardCtx<'_>) -> u64 {
+            0
+        }
+        type Job = fn(&mut ShardCtx<'_>) -> u64;
+        let batch: Vec<(Class, Job)> = vec![
+            (Class::Batch, nothing),
+            (Class::Control, nothing),
+            (Class::Interactive, nothing),
+            (Class::Batch, nothing),
+        ];
+        fleet.try_submit_batch::<u64, _>(batch);
+        fleet.try_submit::<u64, _>(Class::Control, |_| 6).unwrap();
         q.close();
         let mut order = Vec::new();
-        while let Some((job, _task, stolen)) = q.pop(2) {
-            order.push((job, stolen));
+        while let Some((job, _task)) = q.pop() {
+            order.push(job);
         }
-        assert_eq!(
-            order,
-            vec![
-                // Own shard (2) drains first: j2 then j5, both batch.
-                (2, false),
-                (5, false),
-                // Then steal: control (j4), interactive (j1), then the
-                // oldest batch across siblings (j0 before j3).
-                (4, true),
-                (1, true),
-                (0, true),
-                (3, true),
-            ]
+        // Control (j3, j6), interactive (j1, j4), batch (j0, j2, j5).
+        assert_eq!(order, vec![3, 6, 1, 4, 0, 2, 5]);
+    }
+
+    /// Races `threads` submitters, each sending `batches` batches of
+    /// `classes` at `fleet` at once; returns every item's class and
+    /// outcome.
+    fn race(
+        fleet: &Fleet<'_, '_>,
+        threads: usize,
+        batches: usize,
+        classes: &[Class],
+    ) -> Vec<(Class, Result<u64, SubmitError>)> {
+        fn nothing(_: &mut ShardCtx<'_>) -> u64 {
+            0
+        }
+        type Job = fn(&mut ShardCtx<'_>) -> u64;
+        std::thread::scope(|s| {
+            let submitters: Vec<_> = (0..threads)
+                .map(|_| {
+                    s.spawn(move || {
+                        let mut seen = Vec::new();
+                        for _ in 0..batches {
+                            let jobs: Vec<(Class, Job)> =
+                                classes.iter().map(|&c| (c, nothing as Job)).collect();
+                            let results = fleet.try_submit_batch::<u64, _>(jobs);
+                            seen.extend(
+                                classes
+                                    .iter()
+                                    .copied()
+                                    .zip(results.into_iter().map(|r| r.map(|h| h.index()))),
+                            );
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            submitters
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        })
+    }
+
+    /// The bound is exact under racing submitters. With no worker
+    /// draining the queue, 4 threads race 240 data-plane items for more
+    /// than the bound: exactly `CAP` are admitted, with indices
+    /// `0..CAP`, and every other item is refused `Full`. Then mixed
+    /// batches race against the full queue: every control item is
+    /// admitted, with the next contiguous indices, and every data item
+    /// is refused.
+    #[test]
+    fn racing_batches_fill_a_bounded_queue_exactly() {
+        const CAP: usize = 100;
+        let q: Queue<'_> = Queue::new(Some(CAP));
+        let fleet = bare_fleet(&q);
+        let full = Err(SubmitError::Full { capacity: CAP });
+
+        let data = race(
+            &fleet,
+            4,
+            20,
+            &[Class::Batch, Class::Interactive, Class::Batch],
         );
+        let mut admitted: Vec<u64> = data.iter().filter_map(|(_, r)| r.ok()).collect();
+        admitted.sort_unstable();
+        assert_eq!(admitted, (0..CAP as u64).collect::<Vec<_>>());
+        assert!(data
+            .iter()
+            .filter(|(_, r)| r.is_err())
+            .all(|(_, r)| *r == full));
+
+        let mixed = race(
+            &fleet,
+            4,
+            5,
+            &[Class::Control, Class::Batch, Class::Control],
+        );
+        let mut control: Vec<u64> = Vec::new();
+        for (class, r) in &mixed {
+            match class {
+                Class::Control => control.push(r.expect("control is exempt from the bound")),
+                _ => assert_eq!(*r, full, "a full queue admits no data-plane job"),
+            }
+        }
+        control.sort_unstable();
+        let end = (CAP + control.len()) as u64;
+        assert_eq!(control, (CAP as u64..end).collect::<Vec<_>>());
+        assert_eq!(q.submitted(), end);
+        assert_eq!(q.queued_len(), end as usize);
     }
 
     #[test]
@@ -1289,7 +1052,7 @@ mod tests {
     /// hard [`SubmitError::Closed`] in every build.
     #[test]
     fn submit_after_close_is_a_hard_error() {
-        let q: Queue<'_> = Queue::new(1, None);
+        let q: Queue<'_> = Queue::new(None);
         let fleet = bare_fleet(&q);
         let accepted = fleet.try_submit(Class::Batch, |_| 1u32);
         assert!(accepted.is_ok());
@@ -1328,7 +1091,7 @@ mod tests {
     /// empty forever. The completion guard now resolves it as abandoned.
     #[test]
     fn worker_death_mid_queue_wakes_joiners() {
-        let q: Queue<'_> = Queue::new(1, None);
+        let q: Queue<'_> = Queue::new(None);
         let fleet = bare_fleet(&q);
         let claimed = fleet.try_submit(Class::Batch, |_| 1u32).unwrap();
         let queued = fleet.try_submit(Class::Batch, |_| 2u32).unwrap();
@@ -1338,7 +1101,7 @@ mod tests {
             // running it (panic outside any per-job catch_unwind — the
             // task closure is dropped during the unwind).
             let h = s.spawn(|| {
-                let _task = q.pop(0).expect("task queued");
+                let _task = q.pop().expect("task queued");
                 panic!("worker killed mid-queue");
             });
             assert!(h.join().is_err(), "worker must have died");
@@ -1350,29 +1113,25 @@ mod tests {
         assert_eq!(queued.join().unwrap_err().message, ABANDONED);
     }
 
-    /// Regression (poison cascade): a panic while a shard lock was held
+    /// Regression (poison cascade): a panic while the queue lock was held
     /// used to turn every later `lock().unwrap()` into an opaque
     /// `PoisonError` panic on unrelated threads. Locking is now
     /// poison-tolerant.
     #[test]
     fn poisoned_locks_do_not_cascade() {
-        let q: Queue<'_> = Queue::new(1, None);
+        let q: Queue<'_> = Queue::new(None);
         let fleet = bare_fleet(&q);
-        // Poison the shard mutex: panic while holding it.
+        // Poison the queue mutex: panic while holding it.
         let _ = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = q.shards[0].lock().unwrap();
+            let _guard = q.state.lock().unwrap();
             panic!("poison the queue");
         }));
-        assert!(
-            q.shards[0].is_poisoned(),
-            "setup must have poisoned the lock"
-        );
+        assert!(q.state.is_poisoned(), "setup must have poisoned the lock");
         // Submission and dispatch still work.
         let h = fleet.try_submit(Class::Batch, |_| 11u32).unwrap();
         q.close();
-        let (job, task, stolen) = q.pop(0).expect("task dispatches through poison");
+        let (job, task) = q.pop().expect("task dispatches through poison");
         assert_eq!(job, 0);
-        assert!(!stolen);
         let cfg = FleetConfig::default();
         let mut state = ShardState {
             cfg: cfg.platform.clone(),
@@ -1380,8 +1139,6 @@ mod tests {
             platform: None,
             metrics: MetricsSnapshot::default(),
             jobs: 0,
-            own: 0,
-            stolen: 0,
             boots: 0,
             resets: 0,
             busy_ns: 0,

@@ -5,7 +5,7 @@
 //! derived from the index, never from shared RNG state). That makes them
 //! embarrassingly parallel. The fan-out machinery lives in the
 //! workspace's fleet scheduler ([`komodo_fleet::run_indexed`]): episodes
-//! become fleet jobs on the same sharded queue the bench harness uses,
+//! become fleet jobs on the same queue the bench harness uses,
 //! rather than a bespoke thread pool here.
 //!
 //! The behavioral contract is unchanged and re-pinned by this module's

@@ -38,7 +38,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use komodo::{Enclave, Platform, PlatformConfig};
-use komodo_armv7::{ExitReason, Word};
+use komodo_armv7::{ExitReason, Machine, Word};
 use komodo_fleet::{Class, Fleet, FleetConfig, JobHandle, ShardCtx, ShardStats, SubmitError};
 use komodo_guest::notary::notary_image;
 use komodo_guest::user;
@@ -219,6 +219,9 @@ impl SessionTable {
 /// State shared between the handle and every request job.
 struct Shared {
     platform_cfg: PlatformConfig,
+    /// Flight-recorder capacity armed on each machine a request runs
+    /// on (0 disables).
+    trace_capacity: usize,
     handshake_ttl: u64,
     shutdown: AtomicBool,
     /// Per-shard latency-record buffers, indexed by the dispatching
@@ -258,7 +261,6 @@ impl Ticket {
 pub struct ServiceHandle<'a, 'env> {
     fleet: &'a Fleet<'a, 'env>,
     shared: &'env Shared,
-    trace_capacity: usize,
 }
 
 /// Builds the fleet job for one admitted request: dispatch-time
@@ -268,7 +270,6 @@ pub struct ServiceHandle<'a, 'env> {
 /// whole batch (the submit pass is one queue entry).
 fn request_job<'env>(
     shared: &'env Shared,
-    trace_capacity: usize,
     req: Request,
     class: Class,
     kind: u8,
@@ -283,7 +284,7 @@ fn request_job<'env>(
         let (result, sim) = if class != Class::Control && shared.shutdown.load(Ordering::SeqCst) {
             (Err(ServiceError::Shutdown), MetricsSnapshot::default())
         } else {
-            handle_request(req, ctx, shared, trace_capacity)
+            handle_request(req, ctx, shared)
         };
         lock_unpoisoned(&shared.records[ctx.shard()]).push(RequestRecord {
             req: ctx.job_index(),
@@ -329,14 +330,7 @@ impl ServiceHandle<'_, '_> {
             return Err(Reject::ShuttingDown);
         }
         let kind = req.kind_code();
-        let job = request_job(
-            self.shared,
-            self.trace_capacity,
-            req,
-            class,
-            kind,
-            Instant::now(),
-        );
+        let job = request_job(self.shared, req, class, kind, Instant::now());
         match self.fleet.try_submit(class, job) {
             Ok(handle) => Ok(Ticket { handle }),
             Err(e) => Err(self.count_reject(e)),
@@ -345,7 +339,7 @@ impl ServiceHandle<'_, '_> {
 
     /// Submits a batch of requests in one queue pass, amortizing the
     /// per-request submit costs (shutdown check, enqueue timestamp,
-    /// result-slot allocation, shard-lock traversal, worker wake) over
+    /// result-block allocation, queue-lock hold, worker wake) over
     /// the whole batch. Admission control still applies *per request*:
     /// each item independently resolves to a [`Ticket`] or a
     /// [`Reject`], in item order — on a bounded queue the earliest
@@ -371,10 +365,7 @@ impl ServiceHandle<'_, '_> {
                 continue;
             }
             let kind = req.kind_code();
-            jobs.push((
-                class,
-                request_job(self.shared, self.trace_capacity, req, class, kind, enqueued),
-            ));
+            jobs.push((class, request_job(self.shared, req, class, kind, enqueued)));
             slots.push(at);
             out.push(None);
         }
@@ -469,6 +460,7 @@ impl Service {
         let shards = cfg.shards.max(1);
         let shared = Shared {
             platform_cfg: cfg.platform.clone(),
+            trace_capacity: cfg.trace_capacity,
             handshake_ttl: cfg.handshake_ttl,
             shutdown: AtomicBool::new(false),
             records: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
@@ -477,7 +469,6 @@ impl Service {
             rejected_full: AtomicU64::new(0),
             rejected_shutdown: AtomicU64::new(0),
         };
-        let trace_capacity = cfg.trace_capacity;
         let fleet_cfg = {
             let mut f = FleetConfig::default()
                 .with_shards(cfg.shards)
@@ -489,7 +480,6 @@ impl Service {
             let handle = ServiceHandle {
                 fleet,
                 shared: &shared,
-                trace_capacity,
             };
             body(&handle)
         });
@@ -522,18 +512,20 @@ fn handle_request(
     req: Request,
     ctx: &mut ShardCtx<'_>,
     shared: &Shared,
-    trace_capacity: usize,
 ) -> (Result<Response, ServiceError>, MetricsSnapshot) {
-    let req_id = ctx.job_index() as u32;
-    let kind = req.kind_code();
+    let span = Span {
+        req: ctx.job_index() as u32,
+        kind: req.kind_code(),
+    };
+    let open_req = ctx.job_index();
     match req {
-        Request::Attest { report } => pooled(ctx, trace_capacity, req_id, kind, |p| {
+        Request::Attest { report } => pooled(ctx, shared, span, |p| {
             run_notary(p, 1, &pad_report(&report))
                 .map(|(counter, mac)| Response::Quote { counter, mac })
         }),
         Request::Notarize { doc_kb } => {
             let seed = ctx.seed();
-            pooled(ctx, trace_capacity, req_id, kind, |p| {
+            pooled(ctx, shared, span, |p| {
                 let kb = doc_kb.max(1);
                 let doc: Vec<u32> = (0..kb * 256)
                     .map(|i| (splitmix64(seed.wrapping_add(i as u64)) >> 32) as u32)
@@ -543,84 +535,115 @@ fn handle_request(
                     .map(|(counter, mac)| Response::Notarized { counter, mac })
             })
         }
-        Request::Invoke { code, steps } => invoke(ctx, trace_capacity, req_id, kind, &code, steps),
-        Request::SessionOpen => session_open(ctx, shared, trace_capacity, req_id, kind),
+        Request::Invoke { code, steps } => invoke(ctx, shared, span, &code, steps),
+        Request::SessionOpen => open_session::<SecretKeeper>(ctx, shared, span, |_, _, id| {
+            // SecretKeeper's open is stateless (State = ()); the call
+            // stays so the Protocol contract is exercised uniformly.
+            SecretKeeper::open(open_req);
+            Ok((
+                Response::SessionOpened { session: id },
+                SessionState::SecretKeeper(()),
+            ))
+        }),
         Request::SessionPut { session, value } => session_step(
-            shared,
-            session,
-            req_id,
-            kind,
             ctx,
+            shared,
+            span,
+            session,
             ProtoStep::Kv(KvStep::Put { value }),
         ),
-        Request::SessionGet { session } => session_step(
-            shared,
-            session,
-            req_id,
-            kind,
-            ctx,
-            ProtoStep::Kv(KvStep::Get),
-        ),
-        Request::SessionClose { session } => session_close(shared, session, req_id, kind, ctx),
+        Request::SessionGet { session } => {
+            session_step(ctx, shared, span, session, ProtoStep::Kv(KvStep::Get))
+        }
+        Request::SessionClose { session } => session_close(ctx, shared, span, session),
         Request::HandshakeBegin {
             nonce,
             verifier_share,
-        } => handshake_begin(
-            ctx,
-            shared,
-            trace_capacity,
-            req_id,
-            kind,
-            nonce,
-            verifier_share,
-        ),
+        } => open_session::<Attested>(ctx, shared, span, |p, e, id| {
+            let quote = Attested::begin(p, e, id, &nonce, verifier_share)?;
+            Ok((
+                Response::HandshakeQuote { session: id, quote },
+                SessionState::Attested(Attested::open(open_req)),
+            ))
+        }),
         Request::HandshakeConfirm { session, tag } => session_step(
-            shared,
-            session,
-            req_id,
-            kind,
             ctx,
+            shared,
+            span,
+            session,
             ProtoStep::Attested(AttestedStep::Confirm { tag }),
         ),
         Request::AttestedSend { session, payload } => session_step(
-            shared,
-            session,
-            req_id,
-            kind,
             ctx,
+            shared,
+            span,
+            session,
             ProtoStep::Attested(AttestedStep::Send { payload }),
         ),
     }
 }
 
-/// Runs `f` on the shard's pooled platform with request-span trace
-/// events around it, returning the platform's full counter snapshot
-/// (the platform was fresh at job start, so the snapshot is exactly
-/// this request's work — matching what the scheduler folds).
-fn pooled(
-    ctx: &mut ShardCtx<'_>,
-    trace_capacity: usize,
+/// A machine a request runs on: a pooled or session [`Platform`], or an
+/// invoke's bare sandbox [`Machine`].
+trait Host {
+    fn machine(&mut self) -> &mut Machine;
+}
+
+impl Host for Platform {
+    fn machine(&mut self) -> &mut Machine {
+        &mut self.machine
+    }
+}
+
+impl Host for Machine {
+    fn machine(&mut self) -> &mut Machine {
+        self
+    }
+}
+
+/// One request as the flight recorder names it.
+#[derive(Clone, Copy)]
+struct Span {
     req: u32,
     kind: u8,
+}
+
+impl Span {
+    /// The request bracket every handler runs through: stamps
+    /// [`Event::ReqDispatch`] at `host`'s cycle count, runs `f`, stamps
+    /// [`Event::ReqComplete`] with `f`'s verdict, and returns `f`'s
+    /// result with the machine's counter snapshot taken after the
+    /// closing stamp.
+    fn run<H: Host, T, E>(
+        self,
+        host: &mut H,
+        f: impl FnOnce(&mut H) -> Result<T, E>,
+    ) -> (Result<T, E>, MetricsSnapshot) {
+        let m = host.machine();
+        let (req, kind) = (self.req, self.kind);
+        m.trace.record(m.cycles, Event::ReqDispatch { req, kind });
+        let res = f(host);
+        let m = host.machine();
+        let ok = res.is_ok();
+        m.trace.record(m.cycles, Event::ReqComplete { req, ok });
+        (res, m.metrics_snapshot())
+    }
+}
+
+/// Runs `f` on the shard's pooled platform. The platform was fresh at
+/// job start, so its full counter snapshot is exactly this request's
+/// work — matching what the scheduler folds.
+fn pooled(
+    ctx: &mut ShardCtx<'_>,
+    shared: &Shared,
+    span: Span,
     f: impl FnOnce(&mut Platform) -> Result<Response, ServiceError>,
 ) -> (Result<Response, ServiceError>, MetricsSnapshot) {
     let p = ctx.platform();
-    if trace_capacity > 0 {
-        p.set_trace(trace_capacity);
+    if shared.trace_capacity > 0 {
+        p.set_trace(shared.trace_capacity);
     }
-    let c = p.cycles();
-    p.machine.trace.record(c, Event::ReqDispatch { req, kind });
-    let res = f(p);
-    let c = p.cycles();
-    p.machine.trace.record(
-        c,
-        Event::ReqComplete {
-            req,
-            ok: res.is_ok(),
-        },
-    );
-    let sim = p.machine.metrics_snapshot();
-    (res, sim)
+    span.run(p, f)
 }
 
 /// Zero-pads an 8-word report to one SHA block (16 words).
@@ -661,9 +684,8 @@ fn run_notary(
 /// fold and returned as the request's snapshot.
 fn invoke(
     ctx: &mut ShardCtx<'_>,
-    trace_capacity: usize,
-    req: u32,
-    kind: u8,
+    shared: &Shared,
+    span: Span,
     code: &[Word],
     steps: u64,
 ) -> (Result<Response, ServiceError>, MetricsSnapshot) {
@@ -671,142 +693,62 @@ fn invoke(
     m.set_fetch_accel(true);
     m.set_superblocks(true);
     m.set_uop_traces(true);
-    if trace_capacity > 0 {
-        m.set_trace_capacity(trace_capacity);
+    if shared.trace_capacity > 0 {
+        m.set_trace_capacity(shared.trace_capacity);
     }
-    m.trace.record(m.cycles, Event::ReqDispatch { req, kind });
-    let exit = m.run_user(steps);
-    let ok = matches!(exit, Ok(ExitReason::StepLimit));
-    m.trace.record(m.cycles, Event::ReqComplete { req, ok });
-    let sim = m.metrics_snapshot();
-    ctx.absorb(&sim);
-    let res = if ok {
-        Ok(Response::Invoked { steps })
-    } else {
-        Err(ServiceError::Enclave(format!(
+    let (res, sim) = span.run(&mut m, |m| match m.run_user(steps) {
+        Ok(ExitReason::StepLimit) => Ok(Response::Invoked { steps }),
+        exit => Err(ServiceError::Enclave(format!(
             "invoke did not run to budget: {exit:?}"
-        )))
-    };
+        ))),
+    });
+    ctx.absorb(&sim);
     (res, sim)
 }
 
-fn session_open(
+/// Opens a session of protocol `P` on a dedicated platform, seeded from
+/// this request's id so batched opens are shard-count-invariant: `P`'s
+/// enclave is loaded, then `start` runs on it with the new session id
+/// (the attested handshake's in-enclave half — keypair, DH, key
+/// derivation, quote — or nothing) and returns the reply and the
+/// session's initial state. Boot, load and start cycles are the opening
+/// request's. Only a session whose load and start succeeded enters the
+/// table.
+fn open_session<P: Protocol>(
     ctx: &mut ShardCtx<'_>,
     shared: &Shared,
-    trace_capacity: usize,
-    req: u32,
-    kind: u8,
+    span: Span,
+    start: impl FnOnce(&mut Platform, &Enclave, u64) -> Result<(Response, SessionState), ServiceError>,
 ) -> (Result<Response, ServiceError>, MetricsSnapshot) {
-    let open_req = ctx.job_index();
-    let seed = protocol::session_seed(&shared.platform_cfg, open_req);
-    let cfg = shared.platform_cfg.clone().with_seed(seed);
-    let mut platform = Platform::with_config(cfg);
-    if trace_capacity > 0 {
-        platform.set_trace(trace_capacity);
+    let seed = protocol::session_seed(&shared.platform_cfg, ctx.job_index());
+    let mut platform = Platform::with_config(shared.platform_cfg.clone().with_seed(seed));
+    if shared.trace_capacity > 0 {
+        platform.set_trace(shared.trace_capacity);
     }
-    let c = platform.cycles();
-    platform
-        .machine
-        .trace
-        .record(c, Event::ReqDispatch { req, kind });
-    let loaded = platform.load(&SecretKeeper::image());
-    let c = platform.cycles();
-    platform.machine.trace.record(
-        c,
-        Event::ReqComplete {
-            req,
-            ok: loaded.is_ok(),
-        },
-    );
-    // Boot and load cycles are attributed to the open request.
-    let sim = platform.machine.metrics_snapshot();
-    ctx.absorb(&sim);
-    match loaded {
-        Ok(enclave) => {
-            let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-            // SecretKeeper's open is stateless (State = ()); the call
-            // stays so the Protocol contract is exercised uniformly.
-            SecretKeeper::open(open_req);
-            shared.sessions.insert(
-                id,
-                Session {
-                    platform,
-                    enclave,
-                    state: SessionState::SecretKeeper(()),
-                    last: sim,
-                },
-            );
-            (Ok(Response::SessionOpened { session: id }), sim)
-        }
-        Err(k) => (
-            Err(ServiceError::Enclave(format!("session load: {k:?}"))),
-            sim,
-        ),
-    }
-}
-
-/// Opens an attested session: a dedicated platform (seed derived from
-/// this request's id, so batched handshakes are shard-count-invariant),
-/// the RA enclave, and the in-enclave handshake — keypair, DH, key
-/// derivation, quote. The session enters the table awaiting the
-/// verifier's confirmation; a failed handshake never enters the table
-/// at all.
-fn handshake_begin(
-    ctx: &mut ShardCtx<'_>,
-    shared: &Shared,
-    trace_capacity: usize,
-    req: u32,
-    kind: u8,
-    nonce: [u32; 4],
-    verifier_share: u64,
-) -> (Result<Response, ServiceError>, MetricsSnapshot) {
-    let open_req = ctx.job_index();
-    let seed = protocol::session_seed(&shared.platform_cfg, open_req);
-    let cfg = shared.platform_cfg.clone().with_seed(seed);
-    let mut platform = Platform::with_config(cfg);
-    if trace_capacity > 0 {
-        platform.set_trace(trace_capacity);
-    }
-    let c = platform.cycles();
-    platform
-        .machine
-        .trace
-        .record(c, Event::ReqDispatch { req, kind });
-    // The session id is allocated before the quote runs so the
+    // The session id is allocated before the enclave runs so the
     // handshake-phase trace events carry it.
     let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-    let quoted = match platform.load(&Attested::image()) {
-        Ok(enclave) => Attested::begin(&mut platform, &enclave, id, &nonce, verifier_share)
-            .map(|q| (enclave, q)),
-        Err(k) => Err(ServiceError::Enclave(format!("ra load: {k:?}"))),
-    };
-    let c = platform.cycles();
-    platform.machine.trace.record(
-        c,
-        Event::ReqComplete {
-            req,
-            ok: quoted.is_ok(),
-        },
-    );
-    // Boot, load and handshake cycles are attributed to the begin
-    // request.
-    let sim = platform.machine.metrics_snapshot();
+    let (opened, sim) = span.run(&mut platform, |p| {
+        let enclave = p
+            .load(&P::image())
+            .map_err(|k| ServiceError::Enclave(format!("{} load: {k:?}", P::name())))?;
+        let (reply, state) = start(p, &enclave, id)?;
+        Ok((enclave, reply, state))
+    });
     ctx.absorb(&sim);
-    match quoted {
-        Ok((enclave, quote)) => {
-            shared.sessions.insert(
-                id,
-                Session {
-                    platform,
-                    enclave,
-                    state: SessionState::Attested(Attested::open(open_req)),
-                    last: sim,
-                },
-            );
-            (Ok(Response::HandshakeQuote { session: id, quote }), sim)
-        }
-        Err(e) => (Err(e), sim),
-    }
+    let res = opened.map(|(enclave, reply, state)| {
+        shared.sessions.insert(
+            id,
+            Session {
+                platform,
+                enclave,
+                state,
+                last: sim,
+            },
+        );
+        reply
+    });
+    (res, sim)
 }
 
 /// Runs one typed protocol step on an open session, absorbing only the
@@ -817,11 +759,10 @@ fn handshake_begin(
 /// A terminal step ([`Verdict::Close`]) tears the session down under
 /// the same stripe hold.
 fn session_step(
-    shared: &Shared,
-    session: u64,
-    req: u32,
-    kind: u8,
     ctx: &mut ShardCtx<'_>,
+    shared: &Shared,
+    span: Span,
+    session: u64,
     step: ProtoStep,
 ) -> (Result<Response, ServiceError>, MetricsSnapshot) {
     let step_ctx = StepCtx {
@@ -830,22 +771,12 @@ fn session_step(
         handshake_ttl: shared.handshake_ttl,
     };
     let out = shared.sessions.step(session, |s| {
-        let c = s.platform.cycles();
-        s.platform
-            .machine
-            .trace
-            .record(c, Event::ReqDispatch { req, kind });
-        let (res, verdict) =
-            protocol::dispatch(&mut s.state, &mut s.platform, &s.enclave, step, &step_ctx);
-        let c = s.platform.cycles();
-        s.platform.machine.trace.record(
-            c,
-            Event::ReqComplete {
-                req,
-                ok: res.is_ok(),
-            },
-        );
-        let snap = s.platform.machine.metrics_snapshot();
+        let mut verdict = Verdict::Keep;
+        let (res, snap) = span.run(&mut s.platform, |p| {
+            let (res, v) = protocol::dispatch(&mut s.state, p, &s.enclave, step, &step_ctx);
+            verdict = v;
+            res
+        });
         let delta = snap.delta_since(&s.last);
         s.last = snap;
         ((res, delta), verdict)
@@ -861,11 +792,10 @@ fn session_step(
 }
 
 fn session_close(
-    shared: &Shared,
-    session: u64,
-    req: u32,
-    kind: u8,
     ctx: &mut ShardCtx<'_>,
+    shared: &Shared,
+    span: Span,
+    session: u64,
 ) -> (Result<Response, ServiceError>, MetricsSnapshot) {
     let Some(mut s) = shared.sessions.remove(session) else {
         return (
@@ -873,27 +803,13 @@ fn session_close(
             MetricsSnapshot::default(),
         );
     };
-    let c = s.platform.cycles();
-    s.platform
-        .machine
-        .trace
-        .record(c, Event::ReqDispatch { req, kind });
-    let destroyed = s.platform.destroy(&s.enclave);
-    let c = s.platform.cycles();
-    s.platform.machine.trace.record(
-        c,
-        Event::ReqComplete {
-            req,
-            ok: destroyed.is_ok(),
-        },
-    );
-    let snap = s.platform.machine.metrics_snapshot();
+    let (res, snap) = span.run(&mut s.platform, |p| {
+        p.destroy(&s.enclave)
+            .map(|()| Response::SessionClosed)
+            .map_err(|k| ServiceError::Enclave(format!("session destroy: {k:?}")))
+    });
     let delta = snap.delta_since(&s.last);
     ctx.absorb(&delta);
-    let res = match destroyed {
-        Ok(()) => Ok(Response::SessionClosed),
-        Err(k) => Err(ServiceError::Enclave(format!("session destroy: {k:?}"))),
-    };
     (res, delta)
 }
 

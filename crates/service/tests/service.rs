@@ -4,8 +4,8 @@
 
 use komodo::PlatformConfig;
 use komodo_service::{
-    drive, drive_indexed, schedule, schedule_indexed, ArrivalIdx, Mix, Reject, Request, Response,
-    Service, ServiceConfig, ServiceError, Ticket,
+    drive, drive_attested, drive_indexed, schedule, schedule_indexed, ArrivalIdx, AttestedClient,
+    Mix, Reject, Request, Response, Service, ServiceConfig, ServiceError, Ticket,
 };
 use std::sync::Arc;
 
@@ -367,19 +367,52 @@ fn seeded_load_is_replayable() {
     assert_eq!(sum(&a), sum(&b));
 }
 
-/// Armed tracing stamps request spans into the flight recorder; the
-/// metrics snapshot of a traced run carries the recorder counters.
+/// Armed tracing stamps request spans into the flight recorder: every
+/// request kind's record carries at least its dispatch and completion
+/// stamps and the armed capacity, and the fleet metrics carry the
+/// recorder counters.
 #[test]
 fn traced_requests_record_spans() {
-    let r = Service::run(cfg(1).with_trace_capacity(512), |h| {
-        h.submit(Request::Attest { report: [5; 8] })
-            .unwrap()
-            .wait()
-            .unwrap()
+    let config = cfg(1).with_trace_capacity(512);
+    let client = AttestedClient::new(config.platform.seed);
+    let r = Service::run(config, |h| {
+        let one = |req: Request| h.submit(req).unwrap().wait().unwrap();
+        one(Request::Attest { report: [5; 8] });
+        one(Request::Notarize { doc_kb: 1 });
+        one(Request::Invoke {
+            code: loop_code(),
+            steps: 100,
+        });
+        let Response::SessionOpened { session } = one(Request::SessionOpen) else {
+            panic!("session did not open");
+        };
+        one(Request::SessionPut { session, value: 9 });
+        one(Request::SessionGet { session });
+        one(Request::SessionClose { session });
+        // Begin, confirm, send and close of one attested session.
+        drive_attested(h, &client, 0x7ace, 1, 1).outcome
     });
-    let total = r.metrics.total();
-    assert_eq!(total.trace_capacity, 512);
-    assert!(total.trace_recorded >= 2, "dispatch + complete at minimum");
+    assert_eq!(r.value.established, 1);
+    let mut kinds: Vec<u8> = r.records.iter().map(|rec| rec.kind).collect();
+    kinds.sort_unstable();
+    kinds.dedup();
+    assert_eq!(
+        kinds,
+        (0..=9).collect::<Vec<u8>>(),
+        "every request kind ran"
+    );
+    for rec in &r.records {
+        assert!(rec.ok, "request {} (kind {}) failed", rec.req, rec.kind);
+        assert_eq!(rec.sim.trace_capacity, 512);
+        assert!(
+            rec.sim.trace_recorded >= 2,
+            "request {} (kind {}): dispatch + complete at minimum, got {}",
+            rec.req,
+            rec.kind,
+            rec.sim.trace_recorded
+        );
+    }
+    assert!(r.metrics.total().trace_recorded >= 2 * r.records.len() as u64);
 }
 
 /// Tentpole: vectored submission. A batch admitted through
